@@ -1,5 +1,7 @@
 #include "pp/verifier.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "analysis/reachability.hpp"
@@ -36,86 +38,182 @@ Config to_dense(std::span<const u64> sparse, std::size_t num_states) {
   return config;
 }
 
+/// The net effect of one fired cell on the counts: at most four
+/// (state, change) terms, sorted by state, zero changes dropped. Cells
+/// with equal deltas lead to the same successor; the empty delta is a
+/// self-loop.
+class Delta {
+ public:
+  void move(State from, State to) {
+    add(from, -1);
+    add(to, +1);
+  }
+  /// Drop zero terms and sort; call once, after the last move().
+  void canonicalise() {
+    u32 kept = 0;
+    for (u32 k = 0; k < size_; ++k)
+      if (terms_[k].change != 0) terms_[kept++] = terms_[k];
+    size_ = kept;
+    for (u32 k = 1; k < size_; ++k)  // insertion sort of <= 4 terms
+      for (u32 j = k; j > 0 && terms_[j].state < terms_[j - 1].state; --j)
+        std::swap(terms_[j], terms_[j - 1]);
+  }
+  bool empty() const { return size_ == 0; }
+  bool operator==(const Delta& other) const {
+    return size_ == other.size_ &&
+           std::equal(terms_.begin(), terms_.begin() + size_,
+                      other.terms_.begin());
+  }
+  /// The successor of sparse configuration `sparse` (sorted by state),
+  /// written to `out` in one merge pass.
+  void apply(std::span<const u64> sparse, std::vector<u64>& out) const {
+    out.resize(sparse.size() + size_);
+    u64* next = out.data();
+    u32 k = 0;
+    for (const u64 word : sparse) {
+      const State q = state_of(word);
+      for (; k < size_ && terms_[k].state < q; ++k)  // newly occupied
+        *next++ = encode(terms_[k].state, static_cast<u32>(terms_[k].change));
+      if (k < size_ && terms_[k].state == q) {
+        const u32 count = count_of(word) + terms_[k++].change;
+        if (count != 0) *next++ = encode(q, count);
+      } else {
+        *next++ = word;
+      }
+    }
+    for (; k < size_; ++k)
+      *next++ = encode(terms_[k].state, static_cast<u32>(terms_[k].change));
+    out.resize(static_cast<std::size_t>(next - out.data()));
+  }
+
+ private:
+  struct Term {
+    State state;
+    std::int32_t change;
+    bool operator==(const Term&) const = default;
+  };
+
+  void add(State q, std::int32_t change) {
+    for (u32 k = 0; k < size_; ++k)
+      if (terms_[k].state == q) {
+        terms_[k].change += change;
+        return;
+      }
+    terms_[size_++] = {q, change};
+  }
+
+  std::array<Term, 4> terms_{};
+  u32 size_ = 0;
+};
+
 /// Successor generator over sparse configurations: iterate over ordered
 /// pairs of *present* states and apply each enabled transition. The pair
-/// (q, q) needs at least two agents in q.
+/// (q, q) needs at least two agents in q. Each distinct net delta is
+/// emitted once, at its first occurrence, so repeats are never
+/// materialised or hashed and the emission order of first occurrences
+/// (hence every node ID) is that of the full cell walk.
 class ConfigDomain {
  public:
   ConfigDomain(const Protocol& protocol, isa::Dispatch dispatch)
       : protocol_(protocol),
         compiled_(dispatch == isa::Dispatch::kBytecode ? &protocol.compiled()
-                                                       : nullptr) {}
+                                                       : nullptr) {
+    if (compiled_ != nullptr) reduce_cells();
+  }
 
   void expand(std::span<const u64> sparse, verify::Emitter& emit) const {
     std::vector<u64> scratch;
+    std::vector<Delta> seen;
+    const auto fire = [&](const Delta& delta) {
+      if (std::find(seen.begin(), seen.end(), delta) != seen.end()) return;
+      seen.push_back(delta);
+      if (delta.empty()) {
+        emit.emit_self();
+        return;
+      }
+      delta.apply(sparse, scratch);
+      emit.emit(scratch);
+    };
+    if (compiled_ != nullptr) {
+      // Bytecode core: for each present q, its active partners r (in
+      // ascending order) that are present too, then the pair's reduced
+      // cells — the successor multiset and emission order (hence every
+      // node ID) are identical to the interp walk below.
+      std::vector<u64> present((compiled_->num_states() + 63) / 64, 0);
+      for (const u64 word : sparse)
+        present[state_of(word) >> 6] |= u64{1} << (state_of(word) & 63);
+      for (const u64 word_q : sparse) {
+        const State q = state_of(word_q);
+        const std::span<const State> partners = compiled_->partners_of(q);
+        const u32 row = compiled_->pair_offset(q);
+        for (u32 k = 0; k < partners.size(); ++k) {
+          const State r = partners[k];
+          if (((present[r >> 6] >> (r & 63)) & 1) == 0) continue;
+          if (q == r && count_of(word_q) < 2) continue;
+          for (u32 d = pair_begin_[row + k]; d < pair_begin_[row + k + 1]; ++d)
+            fire(pair_deltas_[d]);
+        }
+      }
+      return;
+    }
     for (const u64 word_q : sparse) {
       const State q = state_of(word_q);
       for (const u64 word_r : sparse) {
         const State r = state_of(word_r);
         if (q == r && count_of(word_q) < 2) continue;
-        if (compiled_ != nullptr) {
-          // Bytecode core: one pair-table probe, then the opcode cells in
-          // candidate order — the successor multiset and emission order
-          // (hence every node ID) are identical to the interp walk below.
-          const u32 entry = compiled_->entry_of(q, r);
-          if (entry >= isa::CompiledProtocol::kSilentOnly) continue;
-          for (const isa::Cell& cell : compiled_->cells(entry)) {
-            scratch.assign(sparse.begin(), sparse.end());
-            isa::execute_cell(
-                cell,
-                isa::make_policy(
-                    [&](u32 q2) {
-                      adjust(scratch, q, -1);
-                      adjust(scratch, q2, +1);
-                    },
-                    [&](u32 r2) {
-                      adjust(scratch, r, -1);
-                      adjust(scratch, r2, +1);
-                    },
-                    [&](u32 q2, u32 r2) {
-                      adjust(scratch, q, -1);
-                      adjust(scratch, r, -1);
-                      adjust(scratch, q2, +1);
-                      adjust(scratch, r2, +1);
-                    },
-                    [] { /* swap leaves the counts unchanged: self-loop */ },
-                    [](std::int32_t) {}));
-            emit.emit(scratch);
-          }
-          continue;
-        }
         for (const u32 index : protocol_.transitions_for(q, r)) {
           const Transition& t = protocol_.transitions()[index];
-          scratch.assign(sparse.begin(), sparse.end());
-          adjust(scratch, t.q, -1);
-          adjust(scratch, t.r, -1);
-          adjust(scratch, t.q2, +1);
-          adjust(scratch, t.r2, +1);
-          emit.emit(scratch);
+          Delta delta;
+          delta.move(t.q, t.q2);
+          delta.move(t.r, t.r2);
+          delta.canonicalise();
+          fire(delta);
         }
       }
     }
   }
 
  private:
-  static void adjust(std::vector<u64>& sparse, State q, std::int32_t delta) {
-    const auto it = std::lower_bound(
-        sparse.begin(), sparse.end(), q,
-        [](u64 word, State state) { return state_of(word) < state; });
-    if (it != sparse.end() && state_of(*it) == q) {
-      const u32 count = static_cast<u32>(
-          static_cast<std::int64_t>(count_of(*it)) + delta);
-      if (count == 0)
-        sparse.erase(it);
-      else
-        *it = encode(q, count);
-    } else {
-      sparse.insert(it, encode(q, static_cast<u32>(delta)));
+  /// Reduce the opcode cells of every active pair, once per protocol, to
+  /// their distinct canonical deltas in first-occurrence order: a cell's
+  /// effect on the counts depends only on its pair, never on the rest of
+  /// the configuration.
+  void reduce_cells() {
+    pair_begin_.assign(compiled_->num_active_pairs() + 1, 0);
+    for (State q = 0; q < compiled_->num_states(); ++q) {
+      const std::span<const State> partners = compiled_->partners_of(q);
+      for (u32 k = 0; k < partners.size(); ++k) {
+        const State r = partners[k];
+        const u32 pos = compiled_->pair_offset(q) + k;
+        const auto first = static_cast<std::ptrdiff_t>(pair_deltas_.size());
+        for (const isa::Cell& cell : compiled_->cells(pos)) {
+          Delta delta;
+          isa::execute_cell(
+              cell, isa::make_policy(
+                        [&](u32 q2) { delta.move(q, q2); },
+                        [&](u32 r2) { delta.move(r, r2); },
+                        [&](u32 q2, u32 r2) {
+                          delta.move(q, q2);
+                          delta.move(r, r2);
+                        },
+                        [] { /* swap leaves the counts unchanged */ },
+                        [](std::int32_t) {}));
+          delta.canonicalise();
+          if (std::find(pair_deltas_.begin() + first, pair_deltas_.end(),
+                        delta) == pair_deltas_.end())
+            pair_deltas_.push_back(delta);
+        }
+        pair_begin_[pos + 1] = static_cast<u32>(pair_deltas_.size());
+      }
     }
   }
 
   const Protocol& protocol_;
   const isa::CompiledProtocol* compiled_;  ///< set iff bytecode dispatch
+  /// Bytecode core: pair position p's deltas are
+  /// pair_deltas_[pair_begin_[p] .. pair_begin_[p + 1]).
+  std::vector<u32> pair_begin_;
+  std::vector<Delta> pair_deltas_;
 };
 
 /// Outputs of a sparse configuration, mirroring Config::output; in witness

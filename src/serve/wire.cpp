@@ -92,6 +92,25 @@ class JsonParser {
   }
 
  private:
+  /// Deepest array/object nesting accepted. The parser recurses once per
+  /// level, so a bound keeps hostile input (e.g. 10^5 '[' in one frame)
+  /// from overflowing the stack.
+  static constexpr unsigned kMaxDepth = 1024;
+
+  /// One level of array/object nesting, for as long as it is in scope.
+  class Nesting {
+   public:
+    explicit Nesting(JsonParser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxDepth) parser_.fail("nesting too deep");
+    }
+    ~Nesting() { --parser_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    JsonParser& parser_;
+  };
+
   [[noreturn]] void fail(const char* what) {
     throw std::runtime_error("serve json: " + std::string(what) +
                              " at offset " + std::to_string(pos_));
@@ -124,8 +143,14 @@ class JsonParser {
   Json parse_value() {
     skip_spaces();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': {
+        const Nesting nesting(*this);
+        return parse_object();
+      }
+      case '[': {
+        const Nesting nesting(*this);
+        return parse_array();
+      }
       case '"': return parse_string();
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -264,6 +289,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;
 };
 
 Json Json::parse(std::string_view text) {

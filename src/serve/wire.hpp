@@ -46,7 +46,8 @@ class Json {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
   /// Parse one complete JSON document; throws std::runtime_error (with an
-  /// offset) on malformed input or trailing garbage.
+  /// offset) on malformed input, arrays/objects nested deeper than 1024
+  /// levels, or trailing garbage.
   static Json parse(std::string_view text);
 
   Kind kind() const { return kind_; }

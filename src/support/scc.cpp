@@ -1,77 +1,100 @@
 #include "support/scc.hpp"
 
-#include <algorithm>
-
 namespace ppde::support {
 
-SccResult tarjan_scc(
-    const std::vector<std::vector<std::uint32_t>>& successors) {
-  using u32 = std::uint32_t;
-  const u32 n = static_cast<u32>(successors.size());
-  constexpr u32 kUnvisited = 0xffffffffu;
+CsrGraph CsrGraph::from_lists(
+    const std::vector<std::vector<std::uint32_t>>& lists) {
+  CsrGraph graph;
+  graph.offsets.reserve(lists.size() + 1);
+  for (const std::vector<std::uint32_t>& list : lists) {
+    graph.targets.insert(graph.targets.end(), list.begin(), list.end());
+    graph.offsets.push_back(graph.targets.size());
+  }
+  return graph;
+}
 
-  SccResult result;
-  result.scc_of.assign(n, kUnvisited);
-  std::vector<u32> index(n, kUnvisited);
-  std::vector<u32> lowlink(n, 0);
-  std::vector<std::uint8_t> on_stack(n, 0);
-  std::vector<u32> stack;
+// Pearce's space-efficient variant of Tarjan ("A space-efficient algorithm
+// for finding strongly connected components", IPL 2016), iterative: one
+// rindex word per node instead of index + lowlink + on-stack flag. The DFS
+// and the order in which components complete are Tarjan's, so the
+// numbering is too.
+SccResult tarjan_scc(const CsrGraph& graph) {
+  using u32 = std::uint32_t;
+  using u64 = std::uint64_t;
+  const u32 n = graph.num_nodes();
+
+  // rindex[v]: 0 = unvisited; while v's component is open, a DFS index
+  // (minimised over what v reaches); once it closes, the component number
+  // counted down from n - 1, which exceeds every open index.
+  std::vector<u32> rindex(n, 0);
+  std::vector<u32> open;  // visited nodes whose component is still open
 
   struct Frame {
     u32 node;
-    u32 child;
+    bool root;  ///< no edge found yet to a node visited before it
+    u64 edge;   ///< next position in graph.targets to visit
   };
   std::vector<Frame> call_stack;
-  u32 next_index = 0;
+  u32 index = 1;
+  u32 component = n - 1;
+  // Finish edge v -> w: inherit w's index if it is lower.
+  const auto finish_edge = [&](Frame& frame, u32 w) {
+    if (rindex[w] < rindex[frame.node]) {
+      rindex[frame.node] = rindex[w];
+      frame.root = false;
+    }
+  };
 
-  for (u32 root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    call_stack.push_back({root, 0});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = 1;
-
+  for (u32 start = 0; start < n; ++start) {
+    if (rindex[start] != 0) continue;
+    rindex[start] = index++;
+    call_stack.push_back({start, true, graph.offsets[start]});
     while (!call_stack.empty()) {
       Frame& frame = call_stack.back();
-      const auto& succs = successors[frame.node];
-      if (frame.child < succs.size()) {
-        const u32 next = succs[frame.child++];
-        if (index[next] == kUnvisited) {
-          index[next] = lowlink[next] = next_index++;
-          stack.push_back(next);
-          on_stack[next] = 1;
-          call_stack.push_back({next, 0});
-        } else if (on_stack[next]) {
-          lowlink[frame.node] = std::min(lowlink[frame.node], index[next]);
+      const u32 v = frame.node;
+      if (frame.edge < graph.offsets[v + 1]) {
+        const u32 w = graph.targets[frame.edge];
+        if (rindex[w] == 0) {  // tree edge: finished when w returns
+          rindex[w] = index++;
+          call_stack.push_back({w, true, graph.offsets[w]});
+        } else {
+          ++frame.edge;
+          finish_edge(frame, w);
         }
+        continue;
+      }
+      const bool root = frame.root;
+      call_stack.pop_back();
+      if (root) {
+        --index;
+        while (!open.empty() && rindex[v] <= rindex[open.back()]) {
+          rindex[open.back()] = component;
+          open.pop_back();
+          --index;
+        }
+        rindex[v] = component--;
       } else {
-        const u32 node = frame.node;
-        call_stack.pop_back();
-        if (!call_stack.empty()) {
-          const u32 parent = call_stack.back().node;
-          lowlink[parent] = std::min(lowlink[parent], lowlink[node]);
-        }
-        if (lowlink[node] == index[node]) {
-          while (true) {
-            const u32 member = stack.back();
-            stack.pop_back();
-            on_stack[member] = 0;
-            result.scc_of[member] = result.scc_count;
-            if (member == node) break;
-          }
-          ++result.scc_count;
-        }
+        open.push_back(v);
+      }
+      if (!call_stack.empty()) {
+        ++call_stack.back().edge;
+        finish_edge(call_stack.back(), v);
       }
     }
   }
+
+  // Components closed as n - 1, n - 2, ...; number them 0, 1, ... instead.
+  SccResult result;
+  result.scc_count = n - 1 - component;
+  result.scc_of = std::move(rindex);
+  for (u32& c : result.scc_of) c = n - 1 - c;
   return result;
 }
 
-std::vector<std::uint8_t> SccResult::bottom(
-    const std::vector<std::vector<std::uint32_t>>& successors) const {
+std::vector<std::uint8_t> SccResult::bottom(const CsrGraph& graph) const {
   std::vector<std::uint8_t> is_bottom(scc_count, 1);
-  for (std::uint32_t v = 0; v < successors.size(); ++v)
-    for (std::uint32_t succ : successors[v])
+  for (std::uint32_t v = 0; v < graph.num_nodes(); ++v)
+    for (const std::uint32_t succ : graph.successors(v))
       if (scc_of[succ] != scc_of[v]) is_bottom[scc_of[v]] = 0;
   return is_bottom;
 }

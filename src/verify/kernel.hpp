@@ -16,16 +16,24 @@
 // and may mark the node as a terminal event with `emit.set_terminal(tag)`.
 //
 // Determinism scheme (the S21 seed-derivation discipline, transposed to
-// search): exploration proceeds in BFS waves. Each wave expands a chunk of
-// frontier nodes *in parallel* — expansion only reads the frozen interner
-// and writes to a per-node buffer slot, so the buffers' contents are a
-// pure function of the node, never of the executing thread. Node ids are
-// then assigned by a *sequential* merge pass that walks the wave in node
-// order and interns each buffered successor in emission order. The
-// resulting id assignment, successor lists, edge counts and budget
-// trigger points are bit-identical at every thread count — and identical
-// to the classic sequential BFS (expand node 0, intern its successors,
-// expand node 1, ...) that the three pre-kernel explorers implemented.
+// search): exploration proceeds in BFS waves, each in four phases.
+//   1. Expand (parallel over nodes): each frontier node of the chunk writes
+//      its successors, hashed, into its own buffer slot, so a buffer's
+//      contents are a pure function of the node, never of the thread.
+//   2. Stage (parallel over the 16 interner shards): each shard buckets its
+//      own entries in (node, emission) order and resolves each to a
+//      committed id, to an earlier entry of the same wave, or to a new
+//      staged entry.
+//   3. Merge (sequential, hash-free): walks the wave in node order, gives
+//      each first occurrence the next id, writes the node's sorted,
+//      deduplicated successor row to the CSR graph and checks the budgets.
+//   4. Publish (parallel): copies the new states into the interner arena
+//      and commits their table slots.
+// Ids are handed out in (node, emission) order of first occurrence, so the
+// id assignment, successor rows, edge counts and budget trip points are
+// bit-identical at every thread count — and identical to the classic
+// sequential BFS (expand node 0, intern its successors, expand node 1,
+// ...) that the three pre-kernel explorers implemented.
 //
 // Budgets are explicit (nodes, edges, interner bytes); when one is hit
 // the kernel stops expanding and reports a *partial* result — the stats
@@ -72,28 +80,22 @@ struct KernelStats {
 /// frontier node of a wave gets its own slot, so domains never share one.
 class Emitter {
  public:
-  /// Record a successor state. Already-interned states are resolved to
-  /// their id immediately (read-only probe of the frozen interner); new
-  /// states are buffered for the sequential merge pass.
+  /// Record a successor state. It is hashed here and resolved to an id
+  /// by the stage and merge phases.
   void emit(std::span<const std::uint64_t> words) {
     Entry entry;
     entry.hash = hash_words(words);
-    const std::uint32_t id = interner_->find(words, entry.hash);
-    if (id != Interner::kNotFound) {
-      entry.kind = id;
-    } else {
-      entry.kind = kUnresolved;
-      entry.offset = static_cast<std::uint32_t>(words_.size());
-      entry.length = static_cast<std::uint32_t>(words.size());
-      words_.insert(words_.end(), words.begin(), words.end());
-    }
+    entry.offset = static_cast<std::uint32_t>(words_.size());
+    entry.length = static_cast<std::uint32_t>(words.size());
+    words_.insert(words_.end(), words.begin(), words.end());
     entries_.push_back(entry);
+    shards_ |= static_cast<std::uint16_t>(1u << Interner::shard_of(entry.hash));
   }
 
   /// Record a self-loop on the node being expanded.
   void emit_self() {
     Entry entry;
-    entry.kind = kSelf;
+    entry.self = true;
     entries_.push_back(entry);
   }
 
@@ -105,24 +107,28 @@ class Emitter {
   friend class Kernel;
 
   struct Entry {
-    std::uint32_t kind = 0;  ///< node id, kUnresolved, or kSelf
-    std::uint32_t offset = 0;
-    std::uint32_t length = 0;
     std::uint64_t hash = 0;
+    std::uint32_t offset = 0;  ///< into words_
+    std::uint32_t length = 0;
+    Interner::Staging staging;  ///< set by the stage phase
+    bool self = false;
   };
-  static constexpr std::uint32_t kUnresolved = 0xffffffffu;
-  static constexpr std::uint32_t kSelf = 0xfffffffeu;
 
-  void reset(const Interner* interner) {
-    interner_ = interner;
+  std::span<const std::uint64_t> words(const Entry& entry) const {
+    return {words_.data() + entry.offset, entry.length};
+  }
+
+  void reset() {
     entries_.clear();
     words_.clear();
+    shards_ = 0;
     terminal_ = kNoTerminal;
   }
 
-  const Interner* interner_ = nullptr;
+  static_assert(Interner::kNumShards <= 16);
   std::vector<Entry> entries_;
   std::vector<std::uint64_t> words_;
+  std::uint16_t shards_ = 0;  ///< bit s: some entry hashes to shard s
   std::uint32_t terminal_ = kNoTerminal;
 };
 
@@ -138,7 +144,6 @@ class Kernel {
     obs::ObsSpan run_span("kernel_run", "verify");
     for (const std::vector<std::uint64_t>& root : roots)
       interner_.intern(root, hash_words(root));
-    successors_.resize(interner_.size());
     terminal_tags_.resize(interner_.size(), kNoTerminal);
 
     const unsigned threads =
@@ -148,6 +153,10 @@ class Kernel {
     engine::WorkerPool pool(threads);
     std::vector<Emitter> buffers(
         std::max<std::uint32_t>(options_.wave_chunk, 1));
+    // Per buffer, the shards its entries hash to: a stage task skips the
+    // buffers it has nothing in without touching them.
+    std::vector<std::uint16_t> shard_masks(buffers.size());
+    std::vector<std::vector<Pending>> buckets(Interner::kNumShards);
 
     stats_ = KernelStats{};
     // Exploration observability (S24): per-wave spans + live gauges for
@@ -160,7 +169,7 @@ class Kernel {
     obs::Gauge& bytes_gauge = registry.gauge("verify.interner_bytes");
     obs::Histogram& wave_micros = registry.histogram("verify.wave_micros");
     std::uint32_t next = 0;
-    std::vector<std::uint32_t> succs;
+    std::vector<std::uint32_t>& targets = graph_.targets;
     while (next < interner_.size() && stats_.limit == LimitKind::kNone) {
       const std::uint32_t wave_start = next;
       const std::uint32_t wave = std::min<std::uint32_t>(
@@ -169,46 +178,64 @@ class Kernel {
       obs::ObsSpan wave_span("wave", "verify");
       wave_span.set_value(static_cast<double>(wave));
       const std::uint64_t wave_begin_ns = obs::now_ns();
-      // Parallel phase: expand the wave into per-node buffers. The
-      // interner is frozen, so concurrent find()/state() are safe.
       {
         obs::ObsSpan expand_span("expand", "verify");
         pool.parallel_for(wave, [&](std::uint64_t i) {
-          buffers[i].reset(&interner_);
+          buffers[i].reset();
           domain_.expand(
               interner_.state(wave_start + static_cast<std::uint32_t>(i)),
               buffers[i]);
+          shard_masks[i] = buffers[i].shards_;
         });
       }
-      // Sequential merge: assign ids in node order, emission order.
+      {
+        obs::ObsSpan stage_span("stage", "verify");
+        pool.parallel_for(Interner::kNumShards, [&](std::uint64_t shard) {
+          // Bucket this shard's entries in (node, emission) order, then
+          // stage them with the table slot of a later entry prefetched.
+          std::vector<Pending>& bucket = buckets[shard];
+          bucket.clear();
+          for (std::uint32_t i = 0; i < wave; ++i) {
+            if (((shard_masks[i] >> shard) & 1) == 0) continue;
+            for (Emitter::Entry& entry : buffers[i].entries_)
+              if (!entry.self && Interner::shard_of(entry.hash) == shard)
+                bucket.push_back({&buffers[i], &entry});
+          }
+          for (std::size_t k = 0; k < bucket.size(); ++k) {
+            if (k + kPrefetchAhead < bucket.size())
+              interner_.prefetch(bucket[k + kPrefetchAhead].entry->hash);
+            Emitter::Entry& entry = *bucket[k].entry;
+            entry.staging =
+                interner_.stage(bucket[k].buffer->words(entry), entry.hash);
+          }
+        });
+      }
+      // Sequential merge: ids in node order, emission order.
       for (std::uint32_t i = 0; i < wave; ++i) {
         const std::uint32_t id = wave_start + i;
         if (interner_.size() > options_.max_nodes) {
           stats_.limit = LimitKind::kNodes;
           break;
         }
-        Emitter& buffer = buffers[i];
+        const Emitter& buffer = buffers[i];
         terminal_tags_[id] = buffer.terminal_;
-        succs.clear();
+        const std::size_t row = targets.size();
         for (const Emitter::Entry& entry : buffer.entries_) {
-          std::uint32_t succ;
-          if (entry.kind == Emitter::kSelf) {
-            succ = id;
-          } else if (entry.kind == Emitter::kUnresolved) {
-            succ = interner_
-                       .intern({buffer.words_.data() + entry.offset,
-                                entry.length},
-                               entry.hash)
-                       .first;
-          } else {
-            succ = entry.kind;
-          }
-          succs.push_back(succ);
+          const Interner::Staging staging = entry.staging;
+          if (entry.self)
+            targets.push_back(id);
+          else if (staging.ref < Interner::kStaged)
+            targets.push_back(staging.ref);
+          else if (staging.first)
+            targets.push_back(interner_.admit(entry.hash, staging.ref));
+          else
+            targets.push_back(interner_.admitted(entry.hash, staging.ref));
         }
-        std::sort(succs.begin(), succs.end());
-        succs.erase(std::unique(succs.begin(), succs.end()), succs.end());
-        stats_.edges += succs.size();
-        successors_[id] = succs;
+        std::sort(targets.begin() + row, targets.end());
+        targets.erase(std::unique(targets.begin() + row, targets.end()),
+                      targets.end());
+        graph_.offsets.push_back(targets.size());
+        stats_.edges += targets.size() - row;
         if (stats_.edges > options_.max_edges) {
           stats_.limit = LimitKind::kEdges;
           break;
@@ -219,7 +246,10 @@ class Kernel {
         }
         ++next;
       }
-      successors_.resize(interner_.size());
+      {
+        obs::ObsSpan publish_span("publish", "verify");
+        interner_.publish(pool);
+      }
       terminal_tags_.resize(interner_.size(), kNoTerminal);
       ++stats_.waves;
       nodes_gauge.set(static_cast<double>(interner_.size()));
@@ -230,6 +260,8 @@ class Kernel {
       obs::trace_counter("verify.interner_bytes",
                          static_cast<double>(interner_.bytes()));
     }
+    // Nodes never expanded (frontier left by a budget cut) get empty rows.
+    graph_.offsets.resize(interner_.size() + 1, targets.size());
 
     stats_.nodes = interner_.size();
     stats_.bytes = interner_.bytes();
@@ -241,9 +273,12 @@ class Kernel {
   std::span<const std::uint64_t> state(std::uint32_t id) const {
     return interner_.state(id);
   }
-  const std::vector<std::vector<std::uint32_t>>& successors() const {
-    return successors_;
+  /// Id of `words` if explored, else Interner::kNotFound.
+  std::uint32_t find(std::span<const std::uint64_t> words) const {
+    return interner_.find(words, hash_words(words));
   }
+  /// Successor rows, sorted and deduplicated per node.
+  const support::CsrGraph& graph() const { return graph_; }
   const std::vector<std::uint32_t>& terminal_tags() const {
     return terminal_tags_;
   }
@@ -254,14 +289,22 @@ class Kernel {
 
   /// Tarjan + bottom-SCC flags over the explored graph.
   SccAnalysis analyse() const {
-    return analyse_sccs(successors_, terminal_tags_);
+    return analyse_sccs(graph_, terminal_tags_);
   }
 
  private:
+  /// An entry waiting in its shard's stage bucket.
+  struct Pending {
+    const Emitter* buffer = nullptr;
+    Emitter::Entry* entry = nullptr;
+  };
+  /// Stage-phase lookahead, in entries, of the table-slot prefetch.
+  static constexpr std::size_t kPrefetchAhead = 8;
+
   const Domain& domain_;
   KernelOptions options_;
   Interner interner_;
-  std::vector<std::vector<std::uint32_t>> successors_;
+  support::CsrGraph graph_;
   std::vector<std::uint32_t> terminal_tags_;
   KernelStats stats_;
 };

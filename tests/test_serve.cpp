@@ -86,6 +86,22 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse(R"({"a":truth})"), std::runtime_error);
 }
 
+TEST(Json, BoundsNestingDepthWithoutCrashing) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  const Json shallow = Json::parse(nested(1000, '[', ']'));
+  EXPECT_EQ(shallow.kind(), Json::Kind::kArray);
+  for (const std::size_t depth : {100'000u, 1'000'000u}) {
+    EXPECT_THROW(Json::parse(nested(depth, '[', ']')), std::exception);
+    // Unterminated, and objects: rejected on depth, not on the missing end.
+    EXPECT_THROW(Json::parse(std::string(depth, '[')), std::exception);
+    std::string objects;
+    for (std::size_t i = 0; i < depth; ++i) objects += R"({"a":)";
+    EXPECT_THROW(Json::parse(objects), std::exception);
+  }
+}
+
 TEST(Json, RoundTripsWriterOutput) {
   smc::JsonWriter writer;
   writer.field("n", std::uint64_t{12345678901234567ull});

@@ -150,14 +150,15 @@ TEST(Hash, RangeNoEasyCollisions) {
 // -- SCC -------------------------------------------------------------------------
 
 TEST(Scc, SingleNodeNoEdge) {
-  const SccResult result = tarjan_scc({{}});
+  const CsrGraph g = CsrGraph::from_lists({{}});
+  const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, 1u);
-  EXPECT_EQ(result.bottom({{}}), std::vector<std::uint8_t>{1});
+  EXPECT_EQ(result.bottom(g), std::vector<std::uint8_t>{1});
 }
 
 TEST(Scc, ChainHasOneBottom) {
   // 0 -> 1 -> 2
-  const std::vector<std::vector<std::uint32_t>> g = {{1}, {2}, {}};
+  const CsrGraph g = CsrGraph::from_lists({{1}, {2}, {}});
   const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, 3u);
   const auto bottom = result.bottom(g);
@@ -170,7 +171,7 @@ TEST(Scc, ChainHasOneBottom) {
 
 TEST(Scc, CycleIsOneComponent) {
   // 0 -> 1 -> 2 -> 0
-  const std::vector<std::vector<std::uint32_t>> g = {{1}, {2}, {0}};
+  const CsrGraph g = CsrGraph::from_lists({{1}, {2}, {0}});
   const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, 1u);
   EXPECT_EQ(result.scc_of[0], result.scc_of[1]);
@@ -179,8 +180,7 @@ TEST(Scc, CycleIsOneComponent) {
 
 TEST(Scc, TwoCyclesWithBridge) {
   // {0,1} -> {2,3}: only the second cycle is bottom.
-  const std::vector<std::vector<std::uint32_t>> g = {
-      {1}, {0, 2}, {3}, {2}};
+  const CsrGraph g = CsrGraph::from_lists({{1}, {0, 2}, {3}, {2}});
   const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, 2u);
   const auto bottom = result.bottom(g);
@@ -189,7 +189,7 @@ TEST(Scc, TwoCyclesWithBridge) {
 }
 
 TEST(Scc, SelfLoopIsItsOwnComponent) {
-  const std::vector<std::vector<std::uint32_t>> g = {{0}, {0}};
+  const CsrGraph g = CsrGraph::from_lists({{0}, {0}});
   const SccResult result = tarjan_scc(g);
   EXPECT_EQ(result.scc_count, 2u);
   const auto bottom = result.bottom(g);
@@ -200,9 +200,9 @@ TEST(Scc, SelfLoopIsItsOwnComponent) {
 TEST(Scc, DeepChainNoStackOverflow) {
   // The iterative Tarjan must survive graphs far deeper than the C stack.
   constexpr std::uint32_t kDepth = 400'000;
-  std::vector<std::vector<std::uint32_t>> g(kDepth);
-  for (std::uint32_t i = 0; i + 1 < kDepth; ++i) g[i] = {i + 1};
-  const SccResult result = tarjan_scc(g);
+  std::vector<std::vector<std::uint32_t>> lists(kDepth);
+  for (std::uint32_t i = 0; i + 1 < kDepth; ++i) lists[i] = {i + 1};
+  const SccResult result = tarjan_scc(CsrGraph::from_lists(lists));
   EXPECT_EQ(result.scc_count, kDepth);
 }
 

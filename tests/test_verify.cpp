@@ -9,23 +9,27 @@
 // SCC counts, same counterexample configuration — at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/reachability.hpp"
 #include "baselines/majority.hpp"
 #include "compile/lower.hpp"
 #include "compile/to_protocol.hpp"
+#include "czerner/construction.hpp"
 #include "engine/pool.hpp"
 #include "machine/interp.hpp"
 #include "pp/verifier.hpp"
 #include "progmodel/explore.hpp"
 #include "progmodel/flat.hpp"
 #include "progmodel/sample_programs.hpp"
+#include "support/scc.hpp"
 #include "verify/interner.hpp"
 #include "verify/kernel.hpp"
 
@@ -142,7 +146,7 @@ struct ToyDomain {
 };
 
 TEST(Kernel, ExploresTheFullToyGraphIdenticallyAtEveryThreadCount) {
-  std::vector<std::vector<std::vector<u32>>> all_successors;
+  std::vector<support::CsrGraph> all_successors;
   for (const unsigned threads : {1u, 3u, 8u}) {
     const ToyDomain domain{1000, 7};
     verify::KernelOptions options;
@@ -154,7 +158,7 @@ TEST(Kernel, ExploresTheFullToyGraphIdenticallyAtEveryThreadCount) {
     EXPECT_TRUE(stats.complete);
     EXPECT_EQ(stats.limit, verify::LimitKind::kNone);
     EXPECT_EQ(stats.nodes, kernel.num_nodes());
-    all_successors.push_back(kernel.successors());
+    all_successors.push_back(kernel.graph());
   }
   EXPECT_EQ(all_successors[0], all_successors[1]);
   EXPECT_EQ(all_successors[0], all_successors[2]);
@@ -196,19 +200,190 @@ TEST(Kernel, ByteBudgetReportsPartialStats) {
   EXPECT_EQ(stats.limit, verify::LimitKind::kBytes);
 }
 
-TEST(Kernel, BudgetTripPointIsThreadCountIndependent) {
-  std::vector<u64> node_counts;
-  for (const unsigned threads : {1u, 4u}) {
-    const ToyDomain domain{100'000};
-    verify::KernelOptions options;
-    options.max_nodes = 700;
-    options.threads = threads;
-    options.wave_chunk = 32;
-    verify::Kernel<ToyDomain> kernel(domain, options);
-    const std::vector<std::vector<u64>> roots = {{1}};
-    node_counts.push_back(kernel.run(roots).nodes);
+/// Toy domain with heavy duplication: every node emits the same successor
+/// several times, self-loops both as emit_self() and as its own words, and
+/// successors shared with many other nodes. States have 1-3 words.
+struct DuplicatingDomain {
+  u64 modulus;
+
+  static std::vector<u64> encode(u64 x) {
+    std::vector<u64> words = {x};
+    if (x % 3 >= 1) words.push_back(x * 7);
+    if (x % 3 == 2) words.push_back(x * 13);
+    return words;
   }
-  EXPECT_EQ(node_counts[0], node_counts[1]);
+
+  /// The successor walk both the kernel and the reference merge consume:
+  /// on_state(words) per emitted state, on_self() per explicit self-loop;
+  /// returns true iff the node is terminal.
+  template <typename OnState, typename OnSelf>
+  bool visit(std::span<const u64> state, const OnState& on_state,
+             const OnSelf& on_self) const {
+    const u64 x = state[0];
+    if (x % 11 == 5) return true;
+    const u64 inc = (x + 1) % modulus;
+    on_state(encode(inc));
+    on_state(encode((x / 2) % modulus));
+    on_self();
+    on_state(encode(inc));
+    on_state(encode(x));
+    on_state(encode((x * 3) % modulus));
+    on_self();
+    on_state(encode((x / 2) % modulus));
+    return false;
+  }
+
+  void expand(std::span<const u64> state, verify::Emitter& emit) const {
+    if (visit(
+            state, [&](const std::vector<u64>& words) { emit.emit(words); },
+            [&] { emit.emit_self(); }))
+      emit.set_terminal(3);
+  }
+};
+
+/// The sequential merge the wave kernel replaced, kept as the reference:
+/// expand node 0, intern its successors in emission order, expand node 1,
+/// ..., with the node budget checked before a node and the edge budget
+/// after it.
+struct ReferenceExploration {
+  std::vector<std::vector<u64>> states;
+  std::vector<std::vector<u32>> rows;
+  std::vector<u32> terminal_tags;
+  u64 edges = 0;
+  verify::LimitKind limit = verify::LimitKind::kNone;
+};
+
+ReferenceExploration reference_explore(const DuplicatingDomain& domain,
+                                       const std::vector<u64>& root,
+                                       u64 max_nodes, u64 max_edges) {
+  ReferenceExploration ref;
+  std::map<std::vector<u64>, u32> ids;
+  const auto intern = [&](const std::vector<u64>& words) {
+    const auto [it, inserted] =
+        ids.try_emplace(words, static_cast<u32>(ref.states.size()));
+    if (inserted) ref.states.push_back(words);
+    return it->second;
+  };
+  intern(root);
+  for (u32 id = 0; id < ref.states.size(); ++id) {
+    if (ref.states.size() > max_nodes) {
+      ref.limit = verify::LimitKind::kNodes;
+      break;
+    }
+    std::vector<u32> row;
+    const std::vector<u64> state = ref.states[id];
+    const bool terminal = domain.visit(
+        state,
+        [&](const std::vector<u64>& words) { row.push_back(intern(words)); },
+        [&] { row.push_back(id); });
+    ref.terminal_tags.resize(id + 1, verify::kNoTerminal);
+    if (terminal) ref.terminal_tags[id] = 3;
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    ref.edges += row.size();
+    ref.rows.resize(id + 1);
+    ref.rows[id] = std::move(row);
+    if (ref.edges > max_edges) {
+      ref.limit = verify::LimitKind::kEdges;
+      break;
+    }
+  }
+  ref.rows.resize(ref.states.size());
+  ref.terminal_tags.resize(ref.states.size(), verify::kNoTerminal);
+  return ref;
+}
+
+void expect_matches_reference(const verify::Kernel<DuplicatingDomain>& kernel,
+                              const ReferenceExploration& ref) {
+  ASSERT_EQ(kernel.num_nodes(), ref.states.size());
+  for (u32 id = 0; id < kernel.num_nodes(); ++id) {
+    const std::span<const u64> state = kernel.state(id);
+    ASSERT_EQ(std::vector<u64>(state.begin(), state.end()), ref.states[id])
+        << "id " << id;
+  }
+  EXPECT_EQ(kernel.graph(), support::CsrGraph::from_lists(ref.rows));
+  EXPECT_EQ(kernel.terminal_tags(), ref.terminal_tags);
+  EXPECT_EQ(kernel.stats().edges, ref.edges);
+  EXPECT_EQ(kernel.stats().limit, ref.limit);
+}
+
+/// After any run, find() must resolve exactly the committed states.
+void expect_find_resolves_committed_only(
+    const verify::Kernel<DuplicatingDomain>& kernel, u64 modulus) {
+  u32 found = 0;
+  for (u64 x = 0; x < modulus; ++x) {
+    const std::vector<u64> words = DuplicatingDomain::encode(x);
+    const u32 id = kernel.find(words);
+    if (id == verify::Interner::kNotFound) continue;
+    ++found;
+    ASSERT_LT(id, kernel.num_nodes());
+    const std::span<const u64> state = kernel.state(id);
+    EXPECT_EQ(std::vector<u64>(state.begin(), state.end()), words);
+  }
+  EXPECT_EQ(found, kernel.num_nodes());
+}
+
+TEST(Kernel, DuplicateSuccessorsMatchTheSequentialReferenceMerge) {
+  const DuplicatingDomain domain{3000};
+  const std::vector<std::vector<u64>> roots = {DuplicatingDomain::encode(1)};
+  const ReferenceExploration ref =
+      reference_explore(domain, roots[0], UINT64_MAX, UINT64_MAX);
+  ASSERT_GT(ref.states.size(), 1000u);
+  for (const std::uint32_t chunk : {1u, 7u, 64u}) {
+    for (const unsigned threads : {1u, 3u, 8u}) {
+      SCOPED_TRACE("wave_chunk " + std::to_string(chunk) + ", threads " +
+                   std::to_string(threads));
+      verify::KernelOptions options;
+      options.threads = threads;
+      options.wave_chunk = chunk;
+      verify::Kernel<DuplicatingDomain> kernel(domain, options);
+      EXPECT_TRUE(kernel.run(roots).complete);
+      expect_matches_reference(kernel, ref);
+      expect_find_resolves_committed_only(kernel, domain.modulus);
+    }
+  }
+}
+
+TEST(Kernel, BudgetTripPointIsThreadCountIndependent) {
+  const DuplicatingDomain domain{100'000};
+  const std::vector<std::vector<u64>> roots = {DuplicatingDomain::encode(1)};
+  struct Budget {
+    verify::LimitKind kind;
+    u64 nodes, edges, bytes;
+  };
+  const Budget budgets[] = {
+      {verify::LimitKind::kNodes, 700, UINT64_MAX, UINT64_MAX},
+      {verify::LimitKind::kEdges, UINT64_MAX, 900, UINT64_MAX},
+      {verify::LimitKind::kBytes, UINT64_MAX, UINT64_MAX, 64 * 1024},
+  };
+  for (const Budget& budget : budgets) {
+    std::vector<support::CsrGraph> graphs;
+    std::vector<u64> bytes;
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("limit " + std::to_string(static_cast<int>(budget.kind)) +
+                   ", threads " + std::to_string(threads));
+      verify::KernelOptions options;
+      options.max_nodes = budget.nodes;
+      options.max_edges = budget.edges;
+      options.max_bytes = budget.bytes;
+      options.threads = threads;
+      options.wave_chunk = 32;
+      verify::Kernel<DuplicatingDomain> kernel(domain, options);
+      const verify::KernelStats& stats = kernel.run(roots);
+      EXPECT_FALSE(stats.complete);
+      EXPECT_EQ(stats.limit, budget.kind);
+      EXPECT_EQ(stats.nodes, kernel.num_nodes());
+      if (budget.kind != verify::LimitKind::kBytes)
+        expect_matches_reference(
+            kernel, reference_explore(domain, roots[0], budget.nodes,
+                                      budget.edges));
+      expect_find_resolves_committed_only(kernel, domain.modulus);
+      graphs.push_back(kernel.graph());
+      bytes.push_back(stats.bytes);
+    }
+    EXPECT_EQ(graphs[0], graphs[1]);
+    EXPECT_EQ(bytes[0], bytes[1]);
+  }
 }
 
 TEST(Kernel, TerminalNodesAreExcludedFromBottomSccs) {
@@ -295,8 +470,9 @@ OracleResult oracle_verify(const pp::Protocol& protocol,
   }
   result.nodes = nodes.size();
 
-  const support::SccResult scc = support::tarjan_scc(successors);
-  const std::vector<std::uint8_t> is_bottom = scc.bottom(successors);
+  const support::CsrGraph graph = support::CsrGraph::from_lists(successors);
+  const support::SccResult scc = support::tarjan_scc(graph);
+  const std::vector<std::uint8_t> is_bottom = scc.bottom(graph);
   result.num_sccs = scc.scc_count;
   bool aggregate_true = false, aggregate_false = false;
   std::optional<u32> offending;
@@ -441,6 +617,43 @@ TEST(Verifier, ResultsAreIdenticalAcrossThreadCounts) {
     EXPECT_EQ(results[i].explored_edges, results[0].explored_edges);
     EXPECT_EQ(results[i].num_sccs, results[0].num_sccs);
     EXPECT_EQ(results[i].num_bottom_sccs, results[0].num_bottom_sccs);
+  }
+}
+
+TEST(Verifier, PinsTheTinyFrontierAtEveryThreadCountAndDispatch) {
+  // The n = 1 no-broadcast conversion from pi(C) with m_regs = 4, witness
+  // mode: the same counts as the verify-frontier benchmark's tiny size.
+  const czerner::Construction c = czerner::build_construction(1);
+  const compile::LoweredMachine lowered = compile::lower_program(c.program);
+  compile::ConversionOptions nb;
+  nb.with_broadcast = false;
+  const compile::ProtocolConversion conv =
+      compile::machine_to_protocol(lowered.machine, nb);
+  std::vector<u64> regs(c.num_registers(), 0);
+  regs[c.R()] = 4;
+  const pp::Config initial =
+      conv.pi(machine::initial_state(lowered.machine, regs), false);
+  std::vector<pp::VerificationResult> results;
+  for (const isa::Dispatch dispatch :
+       {isa::Dispatch::kBytecode, isa::Dispatch::kInterp}) {
+    for (const unsigned threads : {1u, 4u}) {
+      pp::VerifierOptions options;
+      options.witness_mode = true;
+      options.threads = threads;
+      options.dispatch = dispatch;
+      results.push_back(pp::Verifier(conv.protocol).verify(initial, options));
+    }
+  }
+  EXPECT_EQ(results[0].verdict,
+            pp::VerificationResult::Verdict::kStabilisesTrue);
+  EXPECT_EQ(results[0].explored_configs, 401'684u);
+  EXPECT_EQ(results[0].explored_edges, 421'008u);
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].verdict, results[0].verdict) << i;
+    EXPECT_EQ(results[i].explored_configs, results[0].explored_configs) << i;
+    EXPECT_EQ(results[i].explored_edges, results[0].explored_edges) << i;
+    EXPECT_EQ(results[i].num_sccs, results[0].num_sccs) << i;
+    EXPECT_EQ(results[i].num_bottom_sccs, results[0].num_bottom_sccs) << i;
   }
 }
 
