@@ -27,7 +27,6 @@
 #include "czerner/construction.hpp"
 #include "engine/count_sim.hpp"
 #include "engine/ensemble.hpp"
-#include "engine/simd.hpp"
 #include "isa/compiled.hpp"
 #include "pp/simulator.hpp"
 #include "pp/verifier.hpp"
@@ -136,18 +135,16 @@ void print_engine_comparison(std::uint32_t extra_agents,
 
 // ---------------------------------------------------------------------------
 // Machine-readable perf regression report (--json[=path]). One row per
-// (m, engine mode, dispatch mode, harness, batch width) on the converted
-// Czerner n=1 protocol; the perf-smoke CI job validates the schema and
+// (m, engine mode, dispatch mode, harness) on the converted Czerner n=1
+// protocol; the perf-smoke CI job validates the schema and
 // archives the file so throughput trends stay visible across commits.
 // firings_per_sec is the regression metric (work actually done);
 // effective_meetings_per_sec counts closed-form-skipped null meetings too
 // and is the figure comparable across engine modes. Schema v2 added the
-// "dispatch" field (S26). Schema v3 (S28) adds "harness" — "step" rows
-// drive one simulator's step() loop, "fleet" rows drive run_ensemble at
-// threads = 1 — and "batch", the lockstep lane width (1 on every scalar
-// row). Fleet rows exist for batch 1 vs 8 vs 16 on count+null-skip so the
-// lockstep win (or shortfall) is measured where it ships, and their
-// physics counters are bit-identical across widths by construction.
+// "dispatch" field (S26). Schema v3 added "harness": "step" rows drive
+// one simulator's step() loop, "fleet" rows drive run_ensemble at
+// threads = 1. Schema v4 drops the lockstep "batch" column and "simd"
+// tag with the lockstep core: one fleet row per m, scalar.
 // ---------------------------------------------------------------------------
 
 struct ReportRow {
@@ -155,26 +152,23 @@ struct ReportRow {
   const char* mode;
   const char* dispatch;
   const char* harness;
-  std::uint32_t batch;
   double firings_per_sec;
   double effective_meetings_per_sec;
 };
 
 /// One fleet measurement: `trials` independent count+null-skip trials run
 /// to a fixed per-trial interaction budget (the window is set beyond the
-/// budget so no trial stabilises early — every width does identical
-/// work). Throughput is summed firings (resp. meetings, skipped included)
-/// over fleet wall time.
+/// budget so no trial stabilises early). Throughput is summed firings
+/// (resp. meetings, skipped included) over fleet wall time.
 ReportRow measure_fleet(const compile::ProtocolConversion& conv,
-                        std::uint32_t m, std::uint32_t batch,
-                        std::uint64_t trials, std::uint64_t per_trial) {
+                        std::uint32_t m, std::uint64_t trials,
+                        std::uint64_t per_trial) {
   engine::EnsembleOptions options;
   options.trials = trials;
   options.threads = 1;
   options.master_seed = 13;
   options.engine = engine::EngineKind::kCountNullSkip;
   options.dispatch = isa::Dispatch::kBytecode;
-  options.batch = batch;
   options.sim.stable_window = ~std::uint64_t{0} / 4;
   options.sim.max_interactions = per_trial;
   const engine::EnsembleStats stats =
@@ -184,7 +178,6 @@ ReportRow measure_fleet(const compile::ProtocolConversion& conv,
           "count+null-skip",
           "bytecode",
           "fleet",
-          batch,
           static_cast<double>(stats.totals.firings) / wall,
           static_cast<double>(stats.totals.meetings) / wall};
 }
@@ -209,22 +202,20 @@ int write_json_report(const char* path, double budget_seconds) {
         const double firings =
             static_cast<double>(row.firings) / row.seconds;
         rows.push_back({comparison.m, row.name, isa::to_string(dispatch),
-                        "step", 1, firings, eff});
+                        "step", firings, eff});
         if (dispatch == isa::Dispatch::kBytecode &&
             std::string_view(row.name) == "count+null-skip")
           null_skip_bytecode_rate = eff;
       }
     }
-    // Fleet rows: per-trial budget calibrated from the step loop's
-    // measured rate so the scalar fleet spends ~budget_seconds; every
-    // width then runs the identical trial workload.
+    // Fleet row: per-trial budget calibrated from the step loop's
+    // measured rate so the fleet spends ~budget_seconds.
     const std::uint64_t trials = 32;
     const std::uint64_t per_trial = std::max<std::uint64_t>(
         100'000,
         static_cast<std::uint64_t>(null_skip_bytecode_rate * budget_seconds) /
             trials);
-    for (const std::uint32_t batch : {1u, 8u, 16u})
-      rows.push_back(measure_fleet(conv, m, batch, trials, per_trial));
+    rows.push_back(measure_fleet(conv, m, trials, per_trial));
   }
 
   std::FILE* out = std::fopen(path, "w");
@@ -234,19 +225,17 @@ int write_json_report(const char* path, double budget_seconds) {
     return 1;
   }
   std::fprintf(out,
-               "{\n  \"bench_engine_v\": 3,\n  \"simd\": \"%s\",\n"
-               "  \"rows\": [",
-               engine::simd::isa_name());
+               "{\n  \"bench_engine_v\": 4,\n  \"rows\": [");
   bool first = true;
   for (const ReportRow& row : rows) {
     std::fprintf(out,
                  "%s\n    {\"protocol\": \"czerner-n1-converted\", "
                  "\"m\": %u, \"mode\": \"%s\", \"dispatch\": \"%s\", "
-                 "\"harness\": \"%s\", \"batch\": %u, "
+                 "\"harness\": \"%s\", "
                  "\"firings_per_sec\": %.6e, "
                  "\"effective_meetings_per_sec\": %.6e, \"threads\": 1}",
                  first ? "" : ",", row.m, row.mode, row.dispatch, row.harness,
-                 row.batch, row.firings_per_sec,
+                 row.firings_per_sec,
                  row.effective_meetings_per_sec);
     first = false;
   }

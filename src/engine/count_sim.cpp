@@ -127,12 +127,37 @@ void CountSimulator::refresh_weight(std::uint32_t slot) {
   weight_set(slot, counts_[populated_[slot]] * partner_sum_[slot]);
 }
 
-std::uint64_t CountSimulator::sample_null_run(std::uint64_t active) {
-  // U uniform on (0, 1]; 53-bit mantissa draw, shifted off zero. The
-  // expression chain (to_unit_open → log → geom_skip_count) is the one
-  // the batch core replays lane by lane — bit-identical by construction.
+// The three null-skip helpers below are `inline` so the compiler folds
+// them into run_until_stable's firing loop; only this file calls them.
+inline bool CountSimulator::geom_prepare(std::uint64_t active) {
+  // active > 0 implies m >= 2 (an active pair needs two distinct agents,
+  // or C(q) >= 2 on a self-pair), so m·(m−1) never vanishes here.
+  if (active != cached_active_ || counts_.total() != cached_m_) {
+    cached_active_ = active;
+    cached_m_ = counts_.total();
+    const double m = static_cast<double>(cached_m_);
+    cached_p_ = static_cast<double>(active) / (m * (m - 1.0));
+    cached_log1p_ = cached_p_ < 1.0 ? std::log1p(-cached_p_) : 0.0;
+  }
+  return cached_p_ < 1.0;
+}
+
+inline std::uint64_t CountSimulator::sample_null_run(std::uint64_t active) {
   if (!geom_prepare(active)) return 0;
-  return ls_geom_skip(rng_());
+  // U uniform on (0, 1]; 53-bit mantissa draw, shifted off zero.
+  const double k =
+      std::floor(std::log(support::to_unit_open(rng_())) / cached_log1p_);
+  if (!(k >= 0.0)) return 0;
+  if (k >= 1.8e19) return std::numeric_limits<std::uint64_t>::max() / 2;
+  return static_cast<std::uint64_t>(k);
+}
+
+inline void CountSimulator::advance_nulls(std::uint64_t count) {
+  if (count == 0) return;
+  interactions_ += count;
+  metrics_.meetings += count;
+  metrics_.skipped_meetings += count;
+  ++metrics_.null_skip_batches;
 }
 
 std::uint64_t CountSimulator::build_matrix_row(std::uint32_t slot,
@@ -623,45 +648,66 @@ pp::SimulationResult CountSimulator::run_until_stable(
   obs::ObsSpan span("run_until_stable", "sim");
   const auto start_time = std::chrono::steady_clock::now();
   pp::SimulationResult result;
-  if (options_.null_skip) {
-    // The scalar engine *is* the lockstep protocol driven by one lane:
-    // the batch core (engine/batch_sim.cpp) runs these same calls with
-    // the raw draw produced by the SIMD stepper, so the two paths share
-    // every statement that touches simulation state.
-    Lockstep ls;
-    ls_begin(ls, options);
-    while (!ls.done) {
-      const std::uint64_t skip = ls_wants_draw(ls) ? ls_geom_skip(rng_()) : 0;
-      if (!ls.done) ls_fire(ls, skip);
-    }
-    ls_finish(ls);
-    result = ls.result;
-  } else {
-    std::uint64_t consensus_start = interactions_;
-    std::optional<bool> held = consensus();
-    while (interactions_ < options.max_interactions) {
-      step_meeting();
-      const std::optional<bool> now = consensus();
-      if (now != held) {
-        held = now;
-        consensus_start = interactions_;
-        ++metrics_.consensus_flips;
-      }
-      if (held.has_value() &&
-          interactions_ - consensus_start >= options.stable_window) {
-        result.stabilised = true;
-        result.output = *held;
-        result.consensus_since = consensus_start;
+  const std::uint64_t budget = options.max_interactions;
+  std::uint64_t consensus_start = interactions_;
+  std::optional<bool> held = consensus();
+  const auto settle = [&] {
+    result.stabilised = true;
+    result.output = *held;
+    result.consensus_since = consensus_start;
+  };
+  while (interactions_ < budget) {
+    if (options_.null_skip) {
+      const std::uint64_t active = weight_total();
+      const std::uint64_t stable_at = consensus_start + options.stable_window;
+      if (active == 0) {
+        // Frozen (including any population of size < 2): every future
+        // meeting is null, so the current consensus (or its absence) is
+        // permanent. Realise just enough nulls to hit the window or the
+        // budget.
+        if (held.has_value() && stable_at <= budget) {
+          advance_nulls(stable_at - interactions_);
+          settle();
+        } else {
+          advance_nulls(budget - interactions_);
+        }
         break;
       }
+      const std::uint64_t skip = sample_null_run(active);
+      if (held.has_value() && stable_at <= interactions_ + skip) {
+        // The window completes during the null run, before the next firing.
+        advance_nulls(stable_at - interactions_);
+        settle();
+        break;
+      }
+      if (interactions_ + skip >= budget) {
+        advance_nulls(budget - interactions_);
+        break;
+      }
+      advance_nulls(skip);
+      ++interactions_;
+      ++metrics_.meetings;
+      apply_active_meeting(active);
+    } else {
+      step_meeting();
     }
-    result.interactions = interactions_;
-    result.parallel_time =
-        population() != 0
-            ? static_cast<double>(interactions_) /
-                  static_cast<double>(population())
-            : 0.0;
+    const std::optional<bool> now = consensus();
+    if (now != held) {
+      held = now;
+      consensus_start = interactions_;
+      ++metrics_.consensus_flips;
+    }
+    if (held.has_value() &&
+        interactions_ - consensus_start >= options.stable_window) {
+      settle();
+      break;
+    }
   }
+  result.interactions = interactions_;
+  result.parallel_time =
+      population() != 0 ? static_cast<double>(interactions_) /
+                              static_cast<double>(population())
+                        : 0.0;
   metrics_.wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time)

@@ -43,10 +43,8 @@
 #pragma once
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -157,18 +155,6 @@ struct CountSimOptions {
   isa::Dispatch dispatch = isa::Dispatch::kBytecode;
 };
 
-/// The geometric skip count from ln(U) and the memoised ln(1−p): the
-/// closed-form null-run length ⌊ln U / ln(1−p)⌋ with the engine's exact
-/// underflow/overflow clamps. Shared verbatim by the scalar sampler and
-/// the lockstep batch core (engine/batch_sim.cpp) so the two cannot
-/// drift — bit-identical trajectories are a hard contract (S28).
-inline std::uint64_t geom_skip_count(double log_u, double log1p_neg_p) {
-  const double k = std::floor(log_u / log1p_neg_p);
-  if (!(k >= 0.0)) return 0;
-  if (k >= 1.8e19) return std::numeric_limits<std::uint64_t>::max() / 2;
-  return static_cast<std::uint64_t>(k);
-}
-
 /// Drop-in counterpart of pp::Simulator that never materialises agents.
 /// The protocol (and the PairIndex, if supplied) must outlive the
 /// simulator.
@@ -209,13 +195,17 @@ class CountSimulator {
 
   /// True iff all agents agree on an output right now (vacuously true for
   /// an empty population).
-  std::optional<bool> consensus() const;
+  std::optional<bool> consensus() const {
+    if (accepting_ == counts_.total()) return true;
+    if (accepting_ == 0) return false;
+    return std::nullopt;
+  }
 
   /// True iff no meeting can ever change the configuration again (the
   /// total active-pair weight is zero — O(1), the weight is maintained
   /// incrementally). A frozen run's consensus — or lack of one — is
   /// permanent. Populations of size < 2 are always frozen.
-  bool frozen() const;
+  bool frozen() const { return weight_total() == 0; }
 
   /// Current configuration — O(1), unlike pp::Simulator::config().
   const pp::Config& config() const { return counts_; }
@@ -227,51 +217,6 @@ class CountSimulator {
       const std::function<bool(pp::State)>& eligible = nullptr);
 
   const RunMetrics& metrics() const { return metrics_; }
-
-  // --- Lockstep driver API (DESIGN.md S28) -------------------------------
-  //
-  // run_until_stable's null-skip loop, split at its one RNG-draw point so
-  // an external driver can advance many independent simulators one firing
-  // per sweep and batch the draws (engine/batch_sim.{hpp,cpp}). The scalar
-  // run_until_stable is itself implemented on these primitives, so the two
-  // paths execute the same statements in the same order and cannot drift.
-  //
-  // Protocol per firing:
-  //   1. ls_wants_draw(ls)  — settles frozen/budget endings in closed form
-  //      and memoises the geometric law. Returns true iff exactly one raw
-  //      64-bit draw is needed; false with !ls.done means p >= 1 (every
-  //      meeting is active — fire with skip 0).
-  //   2. If a draw is needed: skip = ls_geom_skip(raw) where raw is the
-  //      *next output of this simulator's own rng()* — the driver may
-  //      produce it via the batched stepper, which is bit-identical.
-  //   3. ls_fire(ls, skip) — truncates the null run at the window/budget
-  //      boundary, fires one active meeting (any further draws it needs
-  //      come scalar from the same rng(), preserving per-trial draw
-  //      order), and updates the consensus window.
-  // Repeat until ls.done; ls_finish fills the run summary. Only the
-  // null-skip engine is drivable this way (CountSimOptions::null_skip);
-  // per-agent and plain count engines keep the per-trial scalar path.
-  struct Lockstep {
-    pp::SimulationResult result;
-    std::uint64_t max_interactions = 0;
-    std::uint64_t stable_window = 0;
-    std::uint64_t consensus_start = 0;
-    std::optional<bool> held;
-    bool done = false;
-  };
-  void ls_begin(Lockstep& ls, const pp::SimulationOptions& options);
-  bool ls_wants_draw(Lockstep& ls);
-  /// The memoised ln(1−p) for the draw ls_wants_draw just requested.
-  double ls_log1p() const { return cached_log1p_; }
-  /// Geometric skip from one raw draw, against the memoised law.
-  std::uint64_t ls_geom_skip(std::uint64_t raw) const {
-    return geom_skip_count(std::log(support::to_unit_open(raw)),
-                           cached_log1p_);
-  }
-  void ls_fire(Lockstep& ls, std::uint64_t skip);
-  void ls_finish(Lockstep& ls);
-  /// This simulator's own RNG — the batch driver steps it in SIMD sweeps.
-  support::Rng& rng() { return rng_; }
 
  private:
   CountSimulator(std::unique_ptr<const PairIndex> owned,
@@ -439,122 +384,5 @@ class CountSimulator {
   RunMetrics metrics_;
   support::Rng rng_;
 };
-
-// --- Inline hot-path definitions (S28) ---------------------------------
-//
-// The lockstep primitives live in the header so the batch driver
-// (engine/batch_sim.cpp) compiles them straight into its sweep loop,
-// exactly as run_until_stable does inside count_sim.cpp — out-of-line
-// they cost the batch path several cross-TU calls per firing that the
-// scalar path never pays.
-
-inline std::optional<bool> CountSimulator::consensus() const {
-  if (accepting_ == counts_.total()) return true;
-  if (accepting_ == 0) return false;
-  return std::nullopt;
-}
-
-inline bool CountSimulator::frozen() const { return weight_total() == 0; }
-
-inline bool CountSimulator::geom_prepare(std::uint64_t active) {
-  // active > 0 implies m >= 2 (an active pair needs two distinct agents,
-  // or C(q) >= 2 on a self-pair), so m·(m−1) never vanishes here.
-  if (active != cached_active_ || counts_.total() != cached_m_) {
-    cached_active_ = active;
-    cached_m_ = counts_.total();
-    const double m = static_cast<double>(cached_m_);
-    cached_p_ = static_cast<double>(active) / (m * (m - 1.0));
-    cached_log1p_ = cached_p_ < 1.0 ? std::log1p(-cached_p_) : 0.0;
-  }
-  return cached_p_ < 1.0;
-}
-
-inline void CountSimulator::advance_nulls(std::uint64_t count) {
-  if (count == 0) return;
-  interactions_ += count;
-  metrics_.meetings += count;
-  metrics_.skipped_meetings += count;
-  ++metrics_.null_skip_batches;
-}
-
-inline void CountSimulator::ls_begin(Lockstep& ls,
-                                     const pp::SimulationOptions& options) {
-  ls.result = pp::SimulationResult{};
-  ls.max_interactions = options.max_interactions;
-  ls.stable_window = options.stable_window;
-  ls.consensus_start = interactions_;
-  ls.held = consensus();
-  ls.done = false;
-}
-
-inline bool CountSimulator::ls_wants_draw(Lockstep& ls) {
-  if (interactions_ >= ls.max_interactions) {
-    ls.done = true;
-    return false;
-  }
-  const std::uint64_t active = weight_total();
-  if (active == 0) {
-    // Frozen (including any population of size < 2): every future meeting
-    // is null, so the current consensus (or its absence) is permanent.
-    // Realise just enough nulls to hit the window or the budget.
-    const std::uint64_t stable_at = ls.consensus_start + ls.stable_window;
-    if (ls.held.has_value() && stable_at <= ls.max_interactions) {
-      advance_nulls(stable_at - interactions_);
-      ls.result.stabilised = true;
-      ls.result.output = *ls.held;
-      ls.result.consensus_since = ls.consensus_start;
-    } else {
-      advance_nulls(ls.max_interactions - interactions_);
-    }
-    ls.done = true;
-    return false;
-  }
-  return geom_prepare(active);
-}
-
-inline void CountSimulator::ls_fire(Lockstep& ls, std::uint64_t skip) {
-  const std::uint64_t active = weight_total();
-  const std::uint64_t stable_at = ls.consensus_start + ls.stable_window;
-  if (ls.held.has_value() && stable_at <= interactions_ + skip) {
-    // The window completes during the null run, before the next firing.
-    advance_nulls(stable_at - interactions_);
-    ls.result.stabilised = true;
-    ls.result.output = *ls.held;
-    ls.result.consensus_since = ls.consensus_start;
-    ls.done = true;
-    return;
-  }
-  if (interactions_ + skip >= ls.max_interactions) {
-    advance_nulls(ls.max_interactions - interactions_);
-    ls.done = true;
-    return;
-  }
-  advance_nulls(skip);
-  ++interactions_;
-  ++metrics_.meetings;
-  apply_active_meeting(active);
-  const std::optional<bool> now = consensus();
-  if (now != ls.held) {
-    ls.held = now;
-    ls.consensus_start = interactions_;
-    ++metrics_.consensus_flips;
-  }
-  if (ls.held.has_value() &&
-      interactions_ - ls.consensus_start >= ls.stable_window) {
-    ls.result.stabilised = true;
-    ls.result.output = *ls.held;
-    ls.result.consensus_since = ls.consensus_start;
-    ls.done = true;
-  }
-}
-
-inline void CountSimulator::ls_finish(Lockstep& ls) {
-  ls.result.interactions = interactions_;
-  ls.result.parallel_time =
-      population() != 0
-          ? static_cast<double>(interactions_) /
-                static_cast<double>(population())
-          : 0.0;
-}
 
 }  // namespace ppde::engine

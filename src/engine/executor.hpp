@@ -16,7 +16,6 @@
 #include <optional>
 #include <vector>
 
-#include "engine/batch_sim.hpp"
 #include "engine/count_sim.hpp"
 #include "engine/ensemble.hpp"
 #include "sched/scenario.hpp"
@@ -27,33 +26,17 @@ class TrialExecutor {
  public:
   /// `protocol` must outlive the executor. `workers` is the fleet's worker
   /// count (fleet_workers) — one reusable CountSimulator slot each.
-  /// `batch` is the S28 lockstep width request: 0 = auto, 1 = off, N = N
-  /// lanes; it only takes effect where the lockstep core applies (count
-  /// engine with null-skip, default scenario) — everything else keeps the
-  /// scalar per-trial path, and batch_width() reports 1.
   TrialExecutor(const pp::Protocol& protocol, EngineKind kind,
                 isa::Dispatch dispatch, const sched::Scenario& scenario,
-                unsigned workers, std::uint32_t batch = 0);
+                unsigned workers,
+                // ignored; kept only because perfbench/ passes it
+                std::uint32_t = 0);
 
   /// Run one trial from `initial` with `seed`. Safe to call concurrently
   /// from different workers; the result is a pure function of
   /// (initial, seed) — the worker index only selects per-worker scratch.
   TrialResult run(unsigned worker, const pp::Config& initial,
                   std::uint64_t seed, const pp::SimulationOptions& options);
-
-  /// Run trials [first_trial, first_trial + count), each with its global
-  /// seed derive_trial_seed(master_seed, first_trial + i), into
-  /// out[0..count). With batch_width() > 1 the range runs on the worker's
-  /// lockstep BatchSimulator — per-trial results bit-identical to `count`
-  /// run() calls (wall_seconds excepted; see batch_sim.hpp) — otherwise
-  /// it is exactly that scalar loop. Concurrency contract matches run().
-  void run_range(unsigned worker, const pp::Config& initial,
-                 std::uint64_t master_seed, std::uint64_t first_trial,
-                 std::size_t count, const pp::SimulationOptions& options,
-                 TrialResult* out);
-
-  /// Lanes run_range advances in lockstep per worker; 1 means scalar.
-  unsigned batch_width() const { return batch_width_; }
 
   /// True when trials execute on the per-agent simulator — either because
   /// the per-agent engine was requested or because a non-default scenario
@@ -65,11 +48,9 @@ class TrialExecutor {
   isa::Dispatch dispatch_;
   sched::Scenario scenario_;
   bool per_agent_;
-  unsigned batch_width_ = 1;
   std::optional<PairIndex> index_;
   CountSimOptions sim_options_;
   std::vector<std::unique_ptr<CountSimulator>> sims_;
-  std::vector<std::unique_ptr<BatchSimulator>> batches_;
 };
 
 }  // namespace ppde::engine

@@ -231,8 +231,6 @@ std::string encode_query(const QueryParams& query) {
   json.field("dispatch", std::string_view(query.dispatch));
   if (!query.scenario.empty())
     json.field("scenario", std::string_view(query.scenario));
-  if (query.batch != 0)
-    json.field("batch", static_cast<std::uint64_t>(query.batch));
   if (!query.format.empty())
     json.field("format", std::string_view(query.format));
   if (query.recent != 0) json.field("recent", query.recent);
@@ -257,7 +255,6 @@ QueryParams parse_query(const Json& json) {
   query.shard = json.u64("shard", 0);
   query.dispatch = json.str("dispatch", query.dispatch);
   query.scenario = json.str("scenario", "");
-  query.batch = static_cast<std::uint32_t>(json.u64("batch", 0));
   query.format = json.str("format", "");
   query.recent = json.u64("recent", 0);
   return query;
@@ -278,7 +275,6 @@ smc::CertifyOptions certify_options_of(const QueryParams& query) {
   // reject the query at admission (handle_connection) before any work.
   if (!query.scenario.empty())
     options.scenario = sched::Scenario::parse(query.scenario);
-  options.batch_width = query.batch;
   return options;
 }
 
@@ -306,8 +302,6 @@ std::string encode_batch_request(const BatchRequest& request) {
   json.field("dispatch", std::string_view(request.dispatch));
   if (!request.scenario.empty())
     json.field("scenario", std::string_view(request.scenario));
-  if (request.batch != 0)
-    json.field("batch", static_cast<std::uint64_t>(request.batch));
   if (request.trace_id != 0) json.field("trace_id", request.trace_id);
   return json.finish();
 }
@@ -327,7 +321,6 @@ BatchRequest parse_batch_request(const Json& json) {
   request.budget = json.u64("budget", 2'000'000'000);
   request.dispatch = json.str("dispatch", request.dispatch);
   request.scenario = json.str("scenario", "");
-  request.batch = static_cast<std::uint32_t>(json.u64("batch", 0));
   request.trace_id = json.u64("trace_id", 0);
   return request;
 }

@@ -16,6 +16,9 @@
 // pattern, so a record crosses the wire bit-identically and the
 // coordinator's canonical fold (smc/partial.hpp) sees exactly what an
 // in-process fold would.
+//
+// Parsers ignore fields they do not know. A "batch" width sent by older
+// clients and daemons is dropped that way: it never changed a record.
 #pragma once
 
 #include <cstdint>
@@ -63,11 +66,6 @@ struct QueryParams {
   /// query, so pre-S27 clients and servers interoperate unchanged. A
   /// malformed descriptor is rejected at admission with an error frame.
   std::string scenario{};
-  /// Lockstep batch width (S28): 0 = auto, 1 = off, N = N lanes per
-  /// worker. 0 is omitted from the encoded query (pre-S28 interop);
-  /// results and digests are bit-identical at every width, so the field
-  /// only steers worker-side throughput.
-  std::uint32_t batch = 0;
   /// Stats-only (S29): "" = the JSON reply, "prometheus" = wrap the
   /// text exposition in {"ok":true,"prometheus":"..."}. Omitted when
   /// empty (pre-S29 interop).
@@ -104,9 +102,6 @@ struct BatchRequest {
   /// Scenario descriptor, forwarded verbatim ("" = default, field omitted
   /// on the wire — workers predating S27 only ever see default batches).
   std::string scenario{};
-  /// Lockstep batch width, forwarded verbatim (0 = auto, omitted on the
-  /// wire; a pre-S28 worker ignoring it still ships identical records).
-  std::uint32_t batch = 0;
   /// Distributed tracing (S29): the daemon's query_seq for the query
   /// this batch belongs to, 0 (omitted on the wire) when the daemon is
   /// not tracing. A nonzero id asks the worker to run the batch under a

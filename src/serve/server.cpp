@@ -434,7 +434,7 @@ struct Server::Impl {
         .prototype =
             BatchRequest{/*ensemble=*/false, query.n, query.extra, expected,
                          query.seed, 0, 0, query.window, query.budget,
-                         query.dispatch, query.scenario, query.batch,
+                         query.dispatch, query.scenario,
                          /*trace_id=*/obs::Tracer::active() != nullptr
                              ? record.seq
                              : 0},
@@ -502,7 +502,6 @@ struct Server::Impl {
             BatchRequest{/*ensemble=*/true, query.n, query.extra,
                          /*expected=*/false, query.seed, 0, 0, query.window,
                          query.budget, query.dispatch, query.scenario,
-                         query.batch,
                          /*trace_id=*/obs::Tracer::active() != nullptr
                              ? record.seq
                              : 0},
@@ -622,7 +621,7 @@ struct Server::Impl {
     std::string payload;
     QueryParams query;
     try {
-      if (!read_frame(fd, payload)) {
+      if (!read_frame(fd, payload, kMaxQueryFrameBytes)) {
         ::close(fd);
         return;
       }

@@ -29,6 +29,11 @@ namespace ppde::serve {
 /// batch of trial records).
 constexpr std::size_t kMaxFrameBytes = 64u << 20;
 
+/// Largest accepted client query frame. A query is a few hundred bytes of
+/// JSON, so the daemon reads client frames under this cap instead of
+/// kMaxFrameBytes and never buffers megabytes for an untrusted peer.
+constexpr std::size_t kMaxQueryFrameBytes = 64u << 10;
+
 /// Write one length-prefixed frame; retries on EINTR / short writes.
 /// Throws std::runtime_error on IO failure (e.g. the peer died — the
 /// supervisor turns that into worker-death handling).

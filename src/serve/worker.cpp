@@ -62,7 +62,6 @@ BatchResult run_certify_batch(const BatchRequest& request) {
   options.sim.stable_window = request.window;
   options.sim.max_interactions = request.budget;
   options.dispatch = isa::parse_dispatch(request.dispatch);
-  options.batch_width = request.batch;
   if (!request.scenario.empty())
     options.scenario = sched::Scenario::parse(request.scenario);
   // threads = 1: a worker process is single-threaded by design — the
@@ -95,24 +94,12 @@ BatchResult run_ensemble_batch(const BatchRequest& request) {
     scenario = sched::Scenario::parse(request.scenario);
   engine::TrialExecutor executor(
       cached.conversion.protocol, engine::EngineKind::kCountNullSkip,
-      isa::parse_dispatch(request.dispatch), scenario, /*workers=*/1,
-      request.batch);
-  std::vector<engine::TrialResult> trials;
-  if (executor.batch_width() > 1) {
-    // Lockstep path (S28): the whole shard is one contiguous range on this
-    // worker's BatchSimulator. Per-trial purity makes the records
-    // bit-identical to the per-trial loop below.
-    trials.resize(request.count);
-    executor.run_range(/*worker=*/0, initial, request.seed, request.first,
-                       request.count, sim_stop, trials.data());
-  } else {
-    const auto body = [&](unsigned worker, std::uint64_t,
-                          std::uint64_t seed) {
-      return executor.run(worker, initial, seed, sim_stop);
-    };
-    trials = engine::run_trial_range(request.first, request.count,
-                                     /*threads=*/1, request.seed, body);
-  }
+      isa::parse_dispatch(request.dispatch), scenario, /*workers=*/1);
+  const std::vector<engine::TrialResult> trials = engine::run_trial_range(
+      request.first, request.count, /*threads=*/1, request.seed,
+      [&](unsigned worker, std::uint64_t, std::uint64_t seed) {
+        return executor.run(worker, initial, seed, sim_stop);
+      });
   BatchResult result;
   result.first = request.first;
   result.ensemble_records.reserve(trials.size());

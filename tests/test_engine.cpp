@@ -22,7 +22,6 @@
 #include "engine/ensemble.hpp"
 #include "engine/executor.hpp"
 #include "engine/pool.hpp"
-#include "engine/simd.hpp"
 #include "engine/weight_tree.hpp"
 #include "pp/simulator.hpp"
 #include "support/rng.hpp"
@@ -1115,201 +1114,6 @@ TEST(Ensemble, TrialRangeReproducesFleetSlices) {
       EXPECT_EQ(range[i].sim.interactions, fleet[first + i].sim.interactions);
       EXPECT_EQ(range[i].metrics.meetings, fleet[first + i].metrics.meetings);
     }
-  }
-}
-
-// -- S28 lockstep batch core ------------------------------------------------
-
-TEST(BatchSim, SimdRngBatchMatchesScalarStreams) {
-  // rng_next_batch must be bit-identical to one operator() call per lane,
-  // output *and* post-call state, at every n — covering the vector body,
-  // the scalar remainder tail, and their seam.
-  for (std::size_t n = 1; n <= 17; ++n) {
-    std::vector<support::Rng> batched, scalar;
-    std::vector<support::Rng*> pointers;
-    for (std::size_t i = 0; i < n; ++i) {
-      batched.emplace_back(1000 * n + i);
-      scalar.emplace_back(1000 * n + i);
-    }
-    for (std::size_t i = 0; i < n; ++i) pointers.push_back(&batched[i]);
-    std::vector<std::uint64_t> out(n);
-    // Two rounds: the second catches a first-round state-writeback bug the
-    // first round's outputs would mask.
-    for (int round = 0; round < 2; ++round) {
-      simd::rng_next_batch(pointers.data(), n, out.data());
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(out[i], scalar[i]()) << "n=" << n << " lane=" << i;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(batched[i](), scalar[i]()) << "n=" << n << " lane=" << i;
-  }
-}
-
-/// Everything deterministic in a TrialResult — i.e. all of it except the
-/// wall-clock seconds, which under lockstep measure lane residency (lanes
-/// overlap; see batch_sim.hpp) and are excluded by contract.
-void expect_same_trial(const TrialResult& a, const TrialResult& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.seed, b.seed) << label;
-  EXPECT_EQ(a.sim.stabilised, b.sim.stabilised) << label;
-  EXPECT_EQ(a.sim.output, b.sim.output) << label;
-  EXPECT_EQ(a.sim.interactions, b.sim.interactions) << label;
-  EXPECT_EQ(a.sim.consensus_since, b.sim.consensus_since) << label;
-  EXPECT_EQ(a.sim.parallel_time, b.sim.parallel_time) << label;
-  EXPECT_EQ(a.metrics.meetings, b.metrics.meetings) << label;
-  EXPECT_EQ(a.metrics.firings, b.metrics.firings) << label;
-  EXPECT_EQ(a.metrics.null_skip_batches, b.metrics.null_skip_batches)
-      << label;
-  EXPECT_EQ(a.metrics.skipped_meetings, b.metrics.skipped_meetings) << label;
-  EXPECT_EQ(a.metrics.consensus_flips, b.metrics.consensus_flips) << label;
-  EXPECT_EQ(a.metrics.weight_updates, b.metrics.weight_updates) << label;
-  EXPECT_EQ(a.metrics.tree_descents, b.metrics.tree_descents) << label;
-}
-
-TEST(BatchSim, RunRangeBitIdenticalToScalarAcrossWidths) {
-  // The S28 contract: every lane consumes exactly the seed stream the
-  // scalar executor defines, so run_range at any width reproduces the
-  // scalar per-trial loop bit for bit. The opinion protocol stabilises at
-  // genuinely different times per trial, so lanes retire early and refill
-  // mid-range; 21 trials is ragged against every width tested.
-  const pp::Protocol protocol = make_opinion_protocol();
-  const pp::Config initial = opinion_initial(protocol, 30, 30);
-  pp::SimulationOptions options;
-  options.stable_window = 2'000;
-  options.max_interactions = 10'000'000;
-  constexpr std::uint64_t kSeed = 42;
-  constexpr std::size_t kTrials = 21;
-  const sched::Scenario uniform;
-
-  for (const isa::Dispatch dispatch :
-       {isa::Dispatch::kBytecode, isa::Dispatch::kInterp}) {
-    TrialExecutor scalar(protocol, EngineKind::kCountNullSkip, dispatch,
-                         uniform, /*workers=*/1, /*batch=*/1);
-    ASSERT_EQ(scalar.batch_width(), 1u);
-    std::vector<TrialResult> reference(kTrials);
-    for (std::size_t i = 0; i < kTrials; ++i)
-      reference[i] =
-          scalar.run(0, initial, derive_trial_seed(kSeed, i), options);
-    // At least one trial must retire before the longest-running one, or
-    // the refill path is untested.
-    std::uint64_t shortest = reference[0].sim.interactions;
-    std::uint64_t longest = reference[0].sim.interactions;
-    for (const TrialResult& r : reference) {
-      shortest = std::min(shortest, r.sim.interactions);
-      longest = std::max(longest, r.sim.interactions);
-    }
-    ASSERT_LT(shortest, longest);
-
-    for (const std::uint32_t width : {2u, 8u, 16u}) {
-      TrialExecutor batched(protocol, EngineKind::kCountNullSkip, dispatch,
-                            uniform, /*workers=*/1, width);
-      ASSERT_EQ(batched.batch_width(), width);
-      const std::string label = "dispatch=" + std::string(to_string(dispatch)) +
-                                " width=" + std::to_string(width);
-      std::vector<TrialResult> got(kTrials);
-      batched.run_range(0, initial, kSeed, /*first_trial=*/0, kTrials,
-                        options, got.data());
-      for (std::size_t i = 0; i < kTrials; ++i)
-        expect_same_trial(got[i], reference[i],
-                          label + " trial=" + std::to_string(i));
-      // A mid-stream sub-range must see the same global seeds (the serve
-      // shard law): [5, 5 + 7) against the reference slice.
-      std::vector<TrialResult> slice(7);
-      batched.run_range(0, initial, kSeed, /*first_trial=*/5, 7, options,
-                        slice.data());
-      for (std::size_t i = 0; i < 7; ++i)
-        expect_same_trial(slice[i], reference[5 + i],
-                          label + " slice trial=" + std::to_string(5 + i));
-    }
-  }
-}
-
-TEST(BatchSim, LockstepOnlyAppliesWhereItCan) {
-  const pp::Protocol protocol = make_opinion_protocol();
-  const sched::Scenario uniform;
-  // Plain count engine: no geometric sampler, no lockstep.
-  TrialExecutor count(protocol, EngineKind::kCount, isa::Dispatch::kBytecode,
-                      uniform, 1, /*batch=*/8);
-  EXPECT_EQ(count.batch_width(), 1u);
-  // Non-default scenario: per-agent fallback, no lockstep.
-  sched::Scenario ring;
-  ring.scheduler = sched::parse_scheduler("ring");
-  TrialExecutor stressed(protocol, EngineKind::kCountNullSkip,
-                         isa::Dispatch::kBytecode, ring, 1, /*batch=*/8);
-  EXPECT_TRUE(stressed.per_agent());
-  EXPECT_EQ(stressed.batch_width(), 1u);
-  // batch = 0 resolves to the host's preferred width, never to zero lanes.
-  TrialExecutor automatic(protocol, EngineKind::kCountNullSkip,
-                          isa::Dispatch::kBytecode, uniform, 1, /*batch=*/0);
-  EXPECT_EQ(automatic.batch_width(), simd::preferred_width());
-  EXPECT_GE(automatic.batch_width(), 1u);
-}
-
-TEST(Ensemble, StatsIndependentOfBatchWidthAndThreads) {
-  // run_ensemble routes width > 1 through the chunked fleet; every
-  // aggregate must match the scalar fleet at any (width, threads) pair.
-  const pp::Protocol flock = baselines::make_flock_of_birds(3);
-  const pp::Config initial = baselines::flock_initial(flock, 10);
-  EnsembleOptions options;
-  options.trials = 21;
-  options.master_seed = 7;
-  options.sim.stable_window = 1'000;
-  options.sim.max_interactions = 1'000'000;
-
-  options.batch = 1;
-  options.threads = 1;
-  const EnsembleStats reference = run_ensemble(flock, initial, options);
-  for (const std::uint32_t batch : {0u, 2u, 8u, 16u}) {
-    for (const unsigned threads : {1u, 3u}) {
-      options.batch = batch;
-      options.threads = threads;
-      const EnsembleStats stats = run_ensemble(flock, initial, options);
-      const std::string label =
-          "batch=" + std::to_string(batch) + " threads=" +
-          std::to_string(threads);
-      EXPECT_EQ(stats.trials, reference.trials) << label;
-      EXPECT_EQ(stats.stabilised, reference.stabilised) << label;
-      EXPECT_EQ(stats.accepted, reference.accepted) << label;
-      EXPECT_EQ(stats.interactions.p50, reference.interactions.p50) << label;
-      EXPECT_EQ(stats.interactions.p90, reference.interactions.p90) << label;
-      EXPECT_EQ(stats.interactions.max, reference.interactions.max) << label;
-      EXPECT_EQ(stats.parallel_time.p50, reference.parallel_time.p50)
-          << label;
-      EXPECT_EQ(stats.parallel_time.max, reference.parallel_time.max)
-          << label;
-      EXPECT_EQ(stats.totals.meetings, reference.totals.meetings) << label;
-      EXPECT_EQ(stats.totals.firings, reference.totals.firings) << label;
-      EXPECT_EQ(stats.totals.null_skip_batches,
-                reference.totals.null_skip_batches)
-          << label;
-      EXPECT_EQ(stats.totals.skipped_meetings,
-                reference.totals.skipped_meetings)
-          << label;
-      EXPECT_EQ(stats.totals.consensus_flips,
-                reference.totals.consensus_flips)
-          << label;
-      EXPECT_EQ(stats.totals.weight_updates, reference.totals.weight_updates)
-          << label;
-      EXPECT_EQ(stats.totals.tree_descents, reference.totals.tree_descents)
-          << label;
-    }
-  }
-}
-
-TEST(Ensemble, ChunkedFleetErrorNamesTheChunksFirstTrial) {
-  try {
-    run_trial_range_chunked(
-        0, 16, 2, 4,
-        [](unsigned, std::uint64_t first, std::uint64_t count,
-           TrialResult* out) {
-          if (first == 8) throw std::runtime_error("boom");
-          for (std::uint64_t i = 0; i < count; ++i) out[i] = {};
-        });
-    FAIL() << "chunked fleet swallowed the exception";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("trial 8"), std::string::npos) << what;
-    EXPECT_NE(what.find("boom"), std::string::npos) << what;
   }
 }
 

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -409,46 +410,65 @@ TEST(Proto, QueryRoundTripsAndDefaults) {
   query.seed = 7;
   query.delta = 0.1;
   query.indifference = 0.8;
-  query.batch = 8;
   const QueryParams parsed = parse_query(Json::parse(encode_query(query)));
   EXPECT_EQ(parsed.req, "certify");
   EXPECT_EQ(parsed.extra, 8u);
   EXPECT_EQ(parsed.trials, 24u);
   EXPECT_DOUBLE_EQ(parsed.indifference, 0.8);
-  EXPECT_EQ(parsed.batch, 8u);
   // A minimal request means the same as the CLI's flag defaults.
   const QueryParams defaults =
       parse_query(Json::parse(R"({"req":"certify"})"));
   EXPECT_EQ(defaults.trials, 4096u);
   EXPECT_EQ(defaults.seed, 42u);
   EXPECT_DOUBLE_EQ(defaults.delta, 0.01);
-  EXPECT_EQ(defaults.batch, 0u);
-  // The auto width is the wire default and therefore omitted (pre-S28
-  // servers keep accepting these queries).
-  query.batch = 0;
-  EXPECT_EQ(encode_query(query).find("\"batch\""), std::string::npos);
   EXPECT_THROW(parse_query(Json::parse(R"({"n":1})")), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
 // Worker process over a real socketpair.
 
-TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
-  int pair[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::close(pair[0]);
-    int status = 0;
-    try {
-      worker_main(pair[1]);
-    } catch (...) {
-      status = 1;
+/// A forked worker_main child on one end of a socketpair; fd() is the
+/// parent's end.
+class ForkedWorker {
+ public:
+  ForkedWorker() {
+    int pair[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) != 0)
+      throw std::runtime_error("socketpair failed");
+    pid_ = ::fork();
+    if (pid_ < 0) throw std::runtime_error("fork failed");
+    if (pid_ == 0) {
+      ::close(pair[0]);
+      int status = 0;
+      try {
+        worker_main(pair[1]);
+      } catch (...) {
+        status = 1;
+      }
+      ::_exit(status);
     }
-    ::_exit(status);
+    ::close(pair[1]);
+    fd_ = pair[0];
   }
-  ::close(pair[1]);
+
+  int fd() const { return fd_; }
+
+  /// Send the exit op and reap the child; true iff it exited with 0.
+  bool exit_cleanly() {
+    write_frame(fd_, encode_exit());
+    int status = 0;
+    ::waitpid(pid_, &status, 0);
+    ::close(fd_);
+    return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  }
+
+ private:
+  pid_t pid_ = -1;
+  int fd_ = -1;
+};
+
+TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
+  ForkedWorker worker;
 
   BatchRequest request;
   request.ensemble = false;
@@ -460,29 +480,11 @@ TEST(Worker, BatchRecordsMatchInProcessOutcomes) {
   request.count = 4;
   request.window = 1'000'000;
   request.budget = 100'000'000;
-  // The same range at three lockstep widths (S28): default/auto, forced
-  // scalar, and an explicit lane count. Records must be identical — the
-  // width steers worker throughput only.
-  std::vector<BatchResult> results;
-  for (const std::uint32_t batch : {0u, 1u, 4u}) {
-    request.batch = batch;
-    write_frame(pair[0], encode_batch_request(request));
-    std::string payload;
-    ASSERT_TRUE(read_frame(pair[0], payload));
-    results.push_back(parse_batch_result(Json::parse(payload), false));
-  }
-  const BatchResult& result = results[0];
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ASSERT_EQ(results[i].records.size(), result.records.size());
-    for (std::size_t j = 0; j < result.records.size(); ++j)
-      EXPECT_EQ(results[i].records[j], result.records[j])
-          << "width variant " << i << " record " << j;
-  }
-  write_frame(pair[0], encode_exit());
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  ::close(pair[0]);
+  write_frame(worker.fd(), encode_batch_request(request));
+  std::string payload;
+  ASSERT_TRUE(read_frame(worker.fd(), payload));
+  const BatchResult result = parse_batch_result(Json::parse(payload), false);
+  EXPECT_TRUE(worker.exit_cleanly());
 
   // Differential: the worker's records are exactly what the in-process
   // shard entry point computes for the same range.
@@ -706,6 +708,101 @@ TEST(Server, ConcurrentQueriesShareTheWorkerPool) {
     EXPECT_TRUE(Json::parse(response).boolean("ok", false)) << response;
     EXPECT_EQ(digest_of(response), digest_of(reference)) << response;
   }
+}
+
+/// `frame` (an encoded JSON object) with the `"batch":8` width field older
+/// clients and daemons still send appended.
+std::string with_legacy_batch_field(const std::string& frame) {
+  return frame.substr(0, frame.rfind('}')) + R"(,"batch":8})";
+}
+
+TEST(Server, LegacyBatchFieldIsIgnored) {
+  // Query: parses to exactly what the frame without the field denotes.
+  const QueryParams query = smoke_query();
+  const std::string plain = encode_query(query);
+  const std::string legacy = with_legacy_batch_field(plain);
+  ASSERT_NE(legacy.find(R"("batch":8)"), std::string::npos);
+  EXPECT_EQ(encode_query(parse_query(Json::parse(legacy))), plain);
+
+  // Worker: the same range with and without the field ships byte-identical
+  // records.
+  ForkedWorker worker;
+  BatchRequest request;
+  request.n = 1;
+  request.extra = 2;
+  request.expected = true;
+  request.seed = 7;
+  request.first = 2;
+  request.count = 4;
+  request.window = 1'000'000;
+  request.budget = 100'000'000;
+  std::vector<std::string> records;
+  for (const std::string& frame :
+       {encode_batch_request(request),
+        with_legacy_batch_field(encode_batch_request(request))}) {
+    write_frame(worker.fd(), frame);
+    std::string payload;
+    ASSERT_TRUE(read_frame(worker.fd(), payload));
+    const BatchResult result = parse_batch_result(Json::parse(payload), false);
+    EXPECT_EQ(result.records.size(), 4u);
+    BatchResult bare;  // records only, without the timing sidecar
+    bare.first = result.first;
+    bare.records = result.records;
+    records.push_back(encode_batch_result(bare, false));
+  }
+  EXPECT_EQ(records[0], records[1]);
+  EXPECT_TRUE(worker.exit_cleanly());
+
+  // Daemon: both frames certify to the in-process digest.
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 1;
+  options.shard = 8;
+  RunningServer running(options);
+  const std::string reference =
+      digest_of(smc::to_jsonl(reference_certificate(query)));
+  for (const std::string& frame : {plain, legacy}) {
+    std::string response;
+    std::string error;
+    ASSERT_TRUE(rpc(running.endpoint(), frame, &response, &error)) << error;
+    EXPECT_TRUE(Json::parse(response).boolean("ok", false)) << response;
+    EXPECT_EQ(digest_of(response), reference) << frame;
+  }
+}
+
+TEST(Server, OversizedClientFrameGetsAnErrorAndServingContinues) {
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 1;
+  RunningServer running(options);
+
+  // A client frame header declaring 1 MiB, far above the query frame cap:
+  // the daemon answers with an error instead of buffering the payload.
+  std::string error;
+  const int fd = connect_hostport(running.endpoint(), &error);
+  ASSERT_GE(fd, 0) << error;
+  constexpr std::uint32_t kDeclared = 1u << 20;
+  static_assert(kDeclared > kMaxQueryFrameBytes);
+  const unsigned char header[4] = {
+      static_cast<unsigned char>(kDeclared >> 24),
+      static_cast<unsigned char>(kDeclared >> 16),
+      static_cast<unsigned char>(kDeclared >> 8),
+      static_cast<unsigned char>(kDeclared)};
+  ASSERT_EQ(::send(fd, header, sizeof header, 0),
+            static_cast<ssize_t>(sizeof header));
+  std::string response;
+  ASSERT_TRUE(read_frame(fd, response));
+  ::close(fd);
+  const Json rejected = Json::parse(response);
+  EXPECT_FALSE(rejected.boolean("ok", true)) << response;
+  EXPECT_NE(rejected.str("error", "").find("size limit"), std::string::npos)
+      << response;
+
+  // The next query, on a fresh connection, is served normally.
+  ASSERT_TRUE(rpc(running.endpoint(), encode_query(QueryParams{"stats"}),
+                  &response, &error))
+      << error;
+  EXPECT_TRUE(Json::parse(response).boolean("ok", false)) << response;
 }
 
 // ---------------------------------------------------------------------------

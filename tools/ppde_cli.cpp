@@ -113,25 +113,6 @@ sched::Scenario flag_scenario(int argc, char** argv) {
   return scenario;
 }
 
-/// Lockstep batch width (S28, engine/batch_sim.hpp) selected by
-/// `--batch={auto,off,N}`: auto (default) lets the engine pick the
-/// measured-best width for this machine (currently scalar — see
-/// EXPERIMENTS.md S28), off forces the scalar path, N requests exactly
-/// N lockstep lanes. Trial records and certificate digests are
-/// bit-identical at every width — this flag only moves wall time. Throws
-/// std::invalid_argument on a malformed value.
-std::uint32_t flag_batch(int argc, char** argv) {
-  const char* text = flag_cstr(argc, argv, "--batch");
-  if (text == nullptr || std::strcmp(text, "auto") == 0) return 0;
-  if (std::strcmp(text, "off") == 0) return 1;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || value == 0)
-    throw std::invalid_argument(std::string("bad --batch value '") + text +
-                                "' (want auto, off, or a lane count)");
-  return static_cast<std::uint32_t>(value);
-}
-
 czerner::Construction build(int n, bool equality) {
   return equality ? czerner::build_equality_construction(n)
                   : czerner::build_construction(n);
@@ -380,8 +361,7 @@ int cmd_simulate(int argc, char** argv, int n, std::uint32_t extra,
 
 int cmd_ensemble(int n, std::uint32_t extra, std::uint64_t trials,
                  unsigned threads, std::uint64_t seed, bool json,
-                 isa::Dispatch dispatch, const sched::Scenario& scenario,
-                 std::uint32_t batch) {
+                 isa::Dispatch dispatch, const sched::Scenario& scenario) {
   const auto lowered = compile::lower_program(build(n, false).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
   const std::uint64_t m = conv.num_pointers + extra;
@@ -392,7 +372,6 @@ int cmd_ensemble(int n, std::uint32_t extra, std::uint64_t trials,
   options.engine = engine::EngineKind::kCountNullSkip;
   options.dispatch = dispatch;
   options.scenario = scenario;
-  options.batch = batch;
   options.sim.stable_window = 90'000'000;
   options.sim.max_interactions = 2'000'000'000;
   const engine::EnsembleStats stats =
@@ -428,7 +407,6 @@ int cmd_certify(int argc, char** argv, int n, std::uint32_t extra,
   options.beta = flag_double(argc, argv, "--beta", 0.01);
   options.max_trials = flag_value(argc, argv, "--trials", 4096);
   options.batch = flag_value(argc, argv, "--round", 8);
-  options.batch_width = flag_batch(argc, argv);
   options.threads =
       static_cast<unsigned>(flag_value(argc, argv, "--threads", 0));
   options.seed = flag_value(argc, argv, "--seed", 42);
@@ -603,7 +581,6 @@ int cmd_client(int argc, char** argv, const std::vector<char*>& pos) {
     query.window = flag_value(argc, argv, "--window", query.window);
     query.budget = flag_value(argc, argv, "--budget", query.budget);
     query.shard = flag_value(argc, argv, "--shard", 0);
-    query.batch = flag_batch(argc, argv);
     // Validate locally so a typo fails here, not server-side.
     query.dispatch = isa::to_string(flag_dispatch(argc, argv));
     // Same local validation for the scenario; the wire carries the
@@ -720,9 +697,6 @@ constexpr VerbHelp kVerbs[] = {
      "                 stress scenario (S27); a non-default scenario falls\n"
      "                 back to the per-agent simulator (fast paths are\n"
      "                 uniform-only), results stay seed-deterministic\n"
-     "    --batch=B    lockstep lanes per worker (S28): auto (default),\n"
-     "                 off, or a lane count; records are bit-identical at\n"
-     "                 every width — only wall time moves\n"
      "    --json       one JSONL record instead of the human summary\n"},
     {"certify", "<n> <extra-agents> [flags]",
      "  Statistical model checking (S23): an SPRT certificate that the\n"
@@ -731,9 +705,6 @@ constexpr VerbHelp kVerbs[] = {
      "  identical at every thread count for fixed (seed, errors, budget).\n"
      "    --trials=N         trial budget (default 4096)\n"
      "    --round=K          trials per SPRT round (default 8)\n"
-     "    --batch=B          lockstep lanes per worker (S28): auto\n"
-     "                       (default), off, or a lane count; the\n"
-     "                       certificate digest is identical at every width\n"
      "    --threads=T        worker threads; 0 = all hardware (default)\n"
      "    --seed=S           master seed (default 42)\n"
      "    --delta=D          certified failure probability (default 0.01)\n"
@@ -805,7 +776,7 @@ constexpr VerbHelp kVerbs[] = {
      "    certify <n> <extra>   SPRT certification; accepts the same\n"
      "                          --trials/--seed/--delta/--indifference/\n"
      "                          --alpha/--beta/--window/--budget/--dispatch/\n"
-     "                          --scheduler/--fault/--batch flags as\n"
+     "                          --scheduler/--fault flags as\n"
      "                          `ppde certify`, plus --shard=K\n"
      "    ensemble <n> <extra>  fleet summary; --trials=N is the exact\n"
      "                          fleet size\n"
@@ -979,8 +950,7 @@ int main(int argc, char** argv) {
           std::strtoull(pos[3], nullptr, 10),
           pos.size() >= 5 ? static_cast<unsigned>(std::atoi(pos[4])) : 0,
           pos.size() >= 6 ? std::strtoull(pos[5], nullptr, 10) : 42, json,
-          flag_dispatch(argc, argv), flag_scenario(argc, argv),
-          flag_batch(argc, argv));
+          flag_dispatch(argc, argv), flag_scenario(argc, argv));
     if (command == "certify" && pos.size() >= 3)
       return cmd_certify(argc, argv, n,
                          static_cast<std::uint32_t>(std::atoi(pos[2])), json);
