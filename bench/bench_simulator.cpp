@@ -4,9 +4,10 @@
 // experiment stands on: interactions/second of the random scheduler across
 // protocol shapes and population sizes, and configurations/second of the
 // bottom-SCC verifier. Before the google-benchmark tables this binary
-// prints two engine reports (DESIGN.md S21): per-agent vs count-based vs
+// prints three engine reports (DESIGN.md S21): per-agent vs count-based vs
 // count+null-skip effective throughput on the converted n=1 Czerner
-// protocol, and ensemble wall-clock scaling over thread counts.
+// protocol, the states populated and depopulated per firing at the certify
+// population, and ensemble wall-clock scaling over thread counts.
 //
 // With --json[=path] the binary instead writes a machine-readable engine
 // report (default BENCH_engine.json) and exits — the CI perf-smoke job's
@@ -144,7 +145,9 @@ void print_engine_comparison(std::uint32_t extra_agents,
 // "dispatch" field (S26). Schema v3 added "harness": "step" rows drive
 // one simulator's step() loop, "fleet" rows drive run_ensemble at
 // threads = 1. Schema v4 drops the lockstep "batch" column and "simd"
-// tag with the lockstep core: one fleet row per m, scalar.
+// tag with the lockstep core: one fleet row per m, scalar. v4 reports
+// also carry count+null-skip step rows at m = |F| + 2, the certify
+// statement's population, for both dispatch cores.
 // ---------------------------------------------------------------------------
 
 struct ReportRow {
@@ -182,6 +185,45 @@ ReportRow measure_fleet(const compile::ProtocolConversion& conv,
           static_cast<double>(stats.totals.meetings) / wall};
 }
 
+/// One count+null-skip step loop at m = |F| + 2, the population `ppde
+/// certify` runs at: almost every agent sits alone in its state, so nearly
+/// every firing populates or depopulates one. The run freezes once it
+/// decides; a frozen run restarts from the initial configuration with the
+/// next seed, as the next trial would.
+ReportRow measure_small_population(const compile::ProtocolConversion& conv,
+                                   double budget_seconds,
+                                   isa::Dispatch dispatch) {
+  const std::uint32_t m = conv.num_pointers + 2;
+  const pp::Config initial = conv.initial_config(m);
+  const engine::PairIndex index(conv.protocol);
+  engine::CountSimOptions options;
+  options.dispatch = dispatch;
+  std::uint64_t seed = 13;
+  engine::CountSimulator sim(conv.protocol, index, initial, seed, options);
+  std::uint64_t firings = 0;
+  std::uint64_t meetings = 0;
+  const auto start = std::chrono::steady_clock::now();
+  run_for(budget_seconds, [&] {
+    if (sim.frozen()) {
+      firings += sim.metrics().firings;
+      meetings += sim.interactions();
+      sim.reset(initial, ++seed);
+    }
+    sim.step();
+  });
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  firings += sim.metrics().firings;
+  meetings += sim.interactions();
+  return {m,
+          "count+null-skip",
+          isa::to_string(dispatch),
+          "step",
+          static_cast<double>(firings) / elapsed,
+          static_cast<double>(meetings) / elapsed};
+}
+
 int write_json_report(const char* path, double budget_seconds) {
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
@@ -217,6 +259,9 @@ int write_json_report(const char* path, double budget_seconds) {
             trials);
     rows.push_back(measure_fleet(conv, m, trials, per_trial));
   }
+  for (const isa::Dispatch dispatch :
+       {isa::Dispatch::kInterp, isa::Dispatch::kBytecode})
+    rows.push_back(measure_small_population(conv, budget_seconds, dispatch));
 
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -243,6 +288,46 @@ int write_json_report(const char* path, double budget_seconds) {
   std::fclose(out);
   std::printf("bench_simulator: wrote %s\n", path);
   return 0;
+}
+
+// ---------------------------------------------------------------------------
+// Small-population churn: at m = |F| + 2, the population `ppde certify`
+// runs at, how many states each firing populates and depopulates — the
+// populated-list and activity-mask updates the count engine pays per
+// firing (S21). Untimed; frozen runs restart with the next seed.
+// ---------------------------------------------------------------------------
+
+void print_small_population_churn(std::uint64_t firings) {
+  const auto lowered =
+      compile::lower_program(czerner::build_construction(1).program);
+  const auto conv = compile::machine_to_protocol(lowered.machine);
+  const pp::Config initial = conv.initial_config(conv.num_pointers + 2);
+  std::uint64_t seed = 42;
+  engine::CountSimulator sim(conv.protocol, initial, seed);
+  std::uint64_t fired = 0;
+  std::uint64_t populated = 0;
+  std::uint64_t depopulated = 0;
+  std::vector<std::uint32_t> before;
+  while (fired < firings) {
+    if (sim.frozen()) sim.reset(initial, ++seed);
+    before = sim.config().counts();
+    if (!sim.step()) continue;
+    ++fired;
+    const std::vector<std::uint32_t>& after = sim.config().counts();
+    for (std::size_t q = 0; q < after.size(); ++q) {
+      populated += before[q] == 0 && after[q] != 0 ? 1 : 0;
+      depopulated += before[q] != 0 && after[q] == 0 ? 1 : 0;
+    }
+  }
+  std::printf(
+      "\n=== Small-population churn: converted Czerner n=1, m = %llu "
+      "agents, %zu states, %llu firings from seed 42 ===\n",
+      static_cast<unsigned long long>(initial.total()),
+      conv.protocol.num_states(), static_cast<unsigned long long>(fired));
+  std::printf("states populated per firing   %.3f\n",
+              static_cast<double>(populated) / static_cast<double>(fired));
+  std::printf("states depopulated per firing %.3f\n",
+              static_cast<double>(depopulated) / static_cast<double>(fired));
 }
 
 // ---------------------------------------------------------------------------
@@ -417,6 +502,7 @@ int main(int argc, char** argv) {
                           isa::Dispatch::kInterp);
   print_engine_comparison(/*extra_agents=*/10'000, /*budget_seconds=*/1.0,
                           isa::Dispatch::kBytecode);
+  print_small_population_churn(/*firings=*/2'000'000);
   print_ensemble_scaling(/*population=*/1'000'000, /*trials=*/8);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

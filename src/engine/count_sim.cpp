@@ -62,21 +62,14 @@ void CountSimulator::load(const pp::Config& initial) {
     position_[q] = static_cast<std::uint32_t>(populated_.size());
     populated_.push_back(q);
   }
-  sorted_populated_ = populated_;  // built in ascending state order above
   const auto filled = static_cast<std::uint32_t>(populated_.size());
   matrix_ok_ = filled <= kMatrixSlots;
-  if (matrix_ok_) {
-    if (act_.empty()) act_.assign(kMatrixSlots * kMatrixSlots, 0);
-    col_mask_.fill(0);
-    // Populated list is ascending here, so slot index == sorted rank.
-    for (std::uint32_t i = 0; i < filled; ++i)
-      rank_[i] = static_cast<std::uint8_t>(i);
-  }
+  if (matrix_ok_) col_mask_.fill(0);
   partner_sum_.resize(filled);
   for (std::uint32_t slot = 0; slot < filled; ++slot) {
     const pp::State q = populated_[slot];
-    partner_sum_[slot] = matrix_ok_ ? build_matrix_row(slot, /*ranked=*/true)
-                                    : fresh_partner_sum(q);
+    partner_sum_[slot] =
+        matrix_ok_ ? build_matrix_row(slot) : fresh_partner_sum(q);
     weight_push(counts_[q] * partner_sum_[slot]);
     if (!options_.null_skip && !bc_) pair_counts_.push_back(counts_[q]);
   }
@@ -96,7 +89,6 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
     active_.clear();
     if (!options_.null_skip) pair_counts_.clear();
   }
-  sorted_populated_.clear();
   cached_active_ = 0;  // sample_null_run never sees W == 0; forces recompute
   accepting_ = 0;
   interactions_ = 0;
@@ -160,84 +152,25 @@ inline void CountSimulator::advance_nulls(std::uint64_t count) {
   ++metrics_.null_skip_batches;
 }
 
-std::uint64_t CountSimulator::build_matrix_row(std::uint32_t slot,
-                                               bool ranked) {
+std::uint64_t CountSimulator::build_matrix_row(std::uint32_t slot) {
   const pp::State q = populated_[slot];
   const auto filled = static_cast<std::uint32_t>(populated_.size());
-  std::uint32_t* row = act_.data() + slot * kMatrixSlots;
-  // No row wipe: cells at inactive positions may hold stale codes from the
-  // slot's previous occupant, but every act_ read is gated by a mask bit
-  // (srow_mask_ in the responder walk, col_mask_ in the update walks), so
-  // stale cells are unreachable. Likewise bit `slot` cannot yet be set in
-  // any watcher mask — the list surgery strips bits at or above the live
-  // size — so no clearing pass is needed either.
+  // Masks carry no bits at or above the live size (the list surgery strips
+  // them), so bit `slot` is clear in every watcher column and the row is
+  // built from nothing; non-populated partners have count zero and are
+  // skipped.
   const std::uint64_t bit = std::uint64_t{1} << slot;
   std::uint64_t sum = index_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
-  std::uint64_t srow = 0;
-  const auto partners = index_->partners_of(q);
-  if (partners.size() <= std::size_t{16} * filled) {
-    // One walk over q's partner row fills the codes (pair positions come
-    // for free: row index k), the mask bits, and A(q); non-populated
-    // partners have count zero and contribute nothing.
-    const std::uint32_t base = index_->pair_offset(q);
-    for (std::uint32_t k = 0; k < partners.size(); ++k) {
-      const std::uint32_t j = position_[partners[k]];
-      if (j == kNoPosition) continue;
-      row[j] = base + k + 2;
-      col_mask_[j] |= bit;
-      if (j != slot || ranked) srow |= std::uint64_t{1} << rank_[j];
-      sum += counts_[partners[k]];
-    }
-  } else {
-    // Huge out-degree: probe per populated state instead.
-    for (std::uint32_t j = 0; j < filled; ++j) {
-      const pp::State r = populated_[j];
-      if (!index_->pair_active(q, r)) continue;
-      row[j] = index_->pair_pos(q, r) + 2;
-      col_mask_[j] |= bit;
-      if (j != slot || ranked) srow |= std::uint64_t{1} << rank_[j];
-      sum += counts_[r];
-    }
+  std::uint64_t row = 0;
+  for (std::uint32_t j = 0; j < filled; ++j) {
+    const pp::State r = populated_[j];
+    if (!index_->pair_active(q, r)) continue;
+    row |= std::uint64_t{1} << j;
+    col_mask_[j] |= bit;
+    sum += counts_[r];
   }
-  srow_mask_[slot] = srow;
+  row_mask_[slot] = row;
   return sum;
-}
-
-void CountSimulator::sorted_insert(pp::State state) {
-  const auto it = std::lower_bound(sorted_populated_.begin(),
-                                   sorted_populated_.end(), state);
-  const auto rank =
-      static_cast<std::uint32_t>(it - sorted_populated_.begin());
-  sorted_populated_.insert(it, state);
-  if (!matrix_ok_) return;
-  // Open rank `rank` in every live sorted-row mask (the new bit comes
-  // from the state's watcher column) and bump the ranks it displaced.
-  const std::uint64_t low = (std::uint64_t{1} << rank) - 1;
-  const std::uint64_t watchers = col_mask_[position_[state]];
-  const auto filled = static_cast<std::uint32_t>(populated_.size());
-  for (std::uint32_t i = 0; i < filled; ++i) {
-    const std::uint64_t m = srow_mask_[i];
-    srow_mask_[i] = (m & low) | ((m & ~low) << 1) |
-                    (((watchers >> i) & 1) << rank);
-    rank_[i] += rank_[i] >= rank ? 1 : 0;
-  }
-  rank_[position_[state]] = static_cast<std::uint8_t>(rank);
-}
-
-void CountSimulator::sorted_erase(pp::State state) {
-  const auto it = std::lower_bound(sorted_populated_.begin(),
-                                   sorted_populated_.end(), state);
-  const auto rank =
-      static_cast<std::uint32_t>(it - sorted_populated_.begin());
-  sorted_populated_.erase(it);
-  if (!matrix_ok_) return;
-  const std::uint64_t low = (std::uint64_t{1} << rank) - 1;
-  const auto filled = static_cast<std::uint32_t>(populated_.size());
-  for (std::uint32_t i = 0; i < filled; ++i) {
-    const std::uint64_t m = srow_mask_[i];
-    srow_mask_[i] = (m & low) | ((m >> 1) & ~low);
-    rank_[i] -= rank_[i] > rank ? 1 : 0;
-  }
 }
 
 void CountSimulator::change_count(pp::State state, std::int64_t delta) {
@@ -262,27 +195,16 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     // excludes `state` — its own partner sum comes fresh).
     std::uint32_t col = position_[state];
     if (appearing) {
+      // Activity is static, so the new column is just the populated
+      // initiators active towards `state`; each gains the row bit too.
       col = filled;
+      const std::uint64_t bit = std::uint64_t{1} << col;
       std::uint64_t built = 0;
-      // Activity is static, so the new column is just state's in-partner
-      // list restricted to populated slots. Only active cells are written
-      // (stale inactive cells are unreachable behind the masks); walk
-      // whichever side is shorter.
-      if (const auto initiators = index_->initiators_meeting(state);
-          initiators.size() <= filled) {
-        for (pp::State p : initiators) {
-          const std::uint32_t i = position_[p];
-          if (i == kNoPosition) continue;
-          act_[i * kMatrixSlots + col] = 1;  // pair position resolved lazily
+      for (std::uint32_t i = 0; i < filled; ++i)
+        if (index_->pair_active(populated_[i], state)) {
           built |= std::uint64_t{1} << i;
+          row_mask_[i] |= bit;
         }
-      } else {
-        for (std::uint32_t i = 0; i < filled; ++i)
-          if (index_->pair_active(populated_[i], state)) {
-            act_[i * kMatrixSlots + col] = 1;
-            built |= std::uint64_t{1} << i;
-          }
-      }
       col_mask_[col] = built;
     }
     for (std::uint64_t mask = col_mask_[col]; mask != 0; mask &= mask - 1) {
@@ -325,55 +247,40 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
       weight_set(hole, weight_get(last));
       if (!options_.null_skip && !bc_)
         pair_counts_.set(hole, pair_counts_.get(last));
-      if (matrix_ok_) {
-        // The moved slot's matrix row and column travel with it (codes are
-        // slot-independent); the diagonal corner is saved first because
-        // both loops write through the (hole, hole) cell. Cells at index
-        // `last` go stale, which is fine — the next append rebuilds them.
-        const std::uint32_t corner = act_[last * kMatrixSlots + last];
-        for (std::uint32_t j = 0; j < last; ++j)
-          act_[hole * kMatrixSlots + j] = act_[last * kMatrixSlots + j];
-        for (std::uint32_t i = 0; i < last; ++i)
-          act_[i * kMatrixSlots + hole] = act_[i * kMatrixSlots + last];
-        act_[hole * kMatrixSlots + hole] = corner;
-        // Relabel the watcher masks the same way: drop the removed slot's
-        // bit (`hole`), move bit `last` down to `hole`, and move column
-        // `last` to `hole`. Masks carry no bits at or above the new size.
-        const std::uint64_t keep =
-            ~((std::uint64_t{1} << hole) | (std::uint64_t{1} << last));
-        const auto relabel = [&](std::uint64_t m) {
-          return (m & keep) | (((m >> last) & 1) << hole);
-        };
-        col_mask_[hole] = relabel(col_mask_[last]);
-        for (std::uint32_t j = 0; j < last; ++j)
-          if (j != hole) col_mask_[j] = relabel(col_mask_[j]);
-        // Sorted-row masks are rank-indexed, so their *contents* survive
-        // the slot swap untouched — only the moved slot's mask changes
-        // home. The removed state's rank bit is dropped by sorted_erase.
-        srow_mask_[hole] = srow_mask_[last];
-        rank_[hole] = rank_[last];
+    }
+    if (matrix_ok_) {
+      // Relabel both mask families the same way: drop the removed slot's
+      // bit (`hole`), move bit `last` down to `hole`, and move row and
+      // column `last` to `hole`. Masks keep no bits at or above the new
+      // size; the masks left at index `last` go stale until the next
+      // append rebuilds them.
+      const std::uint64_t keep =
+          ~((std::uint64_t{1} << hole) | (std::uint64_t{1} << last));
+      const auto relabel = [&](std::uint64_t m) {
+        return (m & keep) | (hole != last ? ((m >> last) & 1) << hole : 0);
+      };
+      col_mask_[hole] = relabel(col_mask_[last]);
+      row_mask_[hole] = relabel(row_mask_[last]);
+      for (std::uint32_t j = 0; j < last; ++j) {
+        if (j == hole) continue;
+        col_mask_[j] = relabel(col_mask_[j]);
+        row_mask_[j] = relabel(row_mask_[j]);
       }
-    } else if (matrix_ok_) {
-      // Removed the final slot: just drop its watcher bit everywhere.
-      const std::uint64_t keep = ~(std::uint64_t{1} << last);
-      for (std::uint32_t j = 0; j < last; ++j) col_mask_[j] &= keep;
     }
     partner_sum_.pop_back();
     weight_pop();
     if (!options_.null_skip && !bc_) pair_counts_.pop_back();
-    sorted_erase(state);
   } else if (appearing) {
     const auto slot = static_cast<std::uint32_t>(populated_.size());
     position_[state] = slot;
     populated_.push_back(state);
     // Column `slot` was built before the A-loop; one fused walk builds the
     // row (diagonal included) and the fresh partner sum.
-    partner_sum_.push_back(matrix_ok_ ? build_matrix_row(slot, /*ranked=*/false)
+    partner_sum_.push_back(matrix_ok_ ? build_matrix_row(slot)
                                       : fresh_partner_sum(state));
     ++metrics_.weight_updates;
     weight_push(counts_[state] * partner_sum_[slot]);
     if (!options_.null_skip && !bc_) pair_counts_.push_back(counts_[state]);
-    sorted_insert(state);
   } else {
     refresh_weight(position_[state]);
     if (!options_.null_skip && !bc_)
@@ -472,7 +379,7 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
   ++metrics_.tree_descents;
   std::uint64_t remaining = 0;
   std::size_t slot = 0;
-  if (bc_ || populated_.size() <= 32) {
+  if (bc_ || populated_.size() <= kLinearSlots) {
     // Few slots (or bytecode dispatch, which scans flat weights at every
     // size): the seed's linear prefix scan beats the tree descent's
     // serial chain of dependent loads. Same slot either way (the tree's
@@ -484,66 +391,47 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
   }
   const pp::State q = populated_[slot];
   const std::uint64_t cq = counts_[q];
-  pp::State r = q;  // overwritten below; a walk must find a partner
+  // The seed engine's responder walk visits q's partners in ascending
+  // state order, each absorbing its pair weight. Restricting it to the
+  // populated states selects the identical responder: a zero-count partner
+  // carries zero weight and can never absorb the remainder. So gather the
+  // active populated partners (typically one to three set bits of the row
+  // mask), sort them by state, and walk them.
+  std::span<const pp::State> responders;
   if (matrix_ok_) {
-    // The seed engine's responder walk — q's partners in ascending state
-    // order, each absorbing its pair weight — restricted to the populated
-    // states: a zero-count partner carries zero weight and can never
-    // absorb the remainder, so the selected responder is identical. The
-    // sorted-rank mask makes the walk visit *only* the active populated
-    // partners (typically one or two set bits) in ascending state order;
-    // the selected cell's code hands the firing its candidate transitions
-    // (resolved on first use; the walk always selects, since
-    // remaining < the slot's total pair weight).
-    std::uint32_t* row = act_.data() + slot * kMatrixSlots;
-    std::uint32_t code = 0;
-    for (std::uint64_t mask = srow_mask_[slot]; mask != 0; mask &= mask - 1) {
+    std::size_t n = 0;
+    for (std::uint64_t mask = row_mask_[slot]; mask != 0; mask &= mask - 1) {
       const pp::State partner =
-          sorted_populated_[static_cast<std::uint32_t>(std::countr_zero(mask))];
-      const std::uint64_t weight =
-          cq * (counts_[partner] - (partner == q ? 1 : 0));
-      if (remaining < weight) {
-        r = partner;
-        const std::uint32_t j = position_[partner];
-        const std::uint32_t cell = row[j];
-        code = cell != 1 ? cell : (row[j] = index_->pair_pos(q, r) + 2);
-        break;
-      }
-      remaining -= weight;
+          populated_[static_cast<std::uint32_t>(std::countr_zero(mask))];
+      std::size_t k = n++;
+      for (; k != 0 && row_partners_[k - 1] > partner; --k)
+        row_partners_[k] = row_partners_[k - 1];
+      row_partners_[k] = partner;
     }
-    if (bc_)
-      fire_cells(q, r, code - 2);
-    else
-      fire_candidates(q, r, index_->pair_candidates(code - 2));
-    return;
-  }
-  if (const auto partners = index_->partners_of(q);
-             partners.size() <= populated_.size()) {
-    for (pp::State partner : partners) {
-      const std::uint64_t weight =
-          cq * (counts_[partner] - (partner == q ? 1 : 0));
-      if (remaining < weight) {
-        r = partner;
-        break;
-      }
-      remaining -= weight;
-    }
+    responders = {row_partners_.data(), n};
   } else {
-    for (pp::State partner : sorted_populated_) {
-      if (!index_->pair_active(q, partner)) continue;
-      const std::uint64_t weight =
-          cq * (counts_[partner] - (partner == q ? 1 : 0));
-      if (remaining < weight) {
-        r = partner;
-        break;
-      }
-      remaining -= weight;
-    }
+    responders_.clear();
+    for (const pp::State partner : populated_)
+      if (index_->pair_active(q, partner)) responders_.push_back(partner);
+    std::sort(responders_.begin(), responders_.end());
+    responders = responders_;
   }
+  pp::State r = q;  // overwritten below; the walk always selects, since
+                    // remaining < the slot's total pair weight
+  for (const pp::State partner : responders) {
+    const std::uint64_t weight =
+        cq * (counts_[partner] - (partner == q ? 1 : 0));
+    if (remaining < weight) {
+      r = partner;
+      break;
+    }
+    remaining -= weight;
+  }
+  const std::uint32_t pos = index_->compiled().entry_of(q, r);  // active
   if (bc_)
-    fire_cells(q, r, index_->compiled().entry_of(q, r));  // (q, r) is active
+    fire_cells(q, r, pos);
   else
-    fire(q, r);
+    fire_candidates(q, r, index_->pair_candidates(pos));
 }
 
 bool CountSimulator::step() {

@@ -27,8 +27,12 @@
 // (engine/weight_tree.hpp), so a firing — which changes at most four
 // counts, each touching only the populated states adjacent to it — costs
 // O(#populated · log #populated) instead of a full rescan plus an
-// O(in-degree) adjacency walk per count change. Sampling both meeting
-// partners is an O(log #populated) tree descent engineered to pick the
+// O(in-degree) adjacency walk per count change. Which populated states are
+// adjacent is kept in two 64-bit activity masks per slot (a row and a
+// column), so a count change and the responder walk iterate set bits only,
+// and a state entering or leaving the populated list costs one probe walk
+// or one in-place relabel. Sampling both meeting partners is an
+// O(log #populated) tree descent engineered to pick the
 // identical slot the seed engine's linear prefix scan picked, so the
 // sequence of *configurations*, firings and consensus times for a given
 // seed is bit-identical to the pre-Fenwick engine — and distributed
@@ -83,19 +87,9 @@ class PairIndex {
     return compiled_->partners_of(q);
   }
 
-  /// Active pairs carry a dense *pair position*: pair (q, partners_of(q)[k])
-  /// sits at pair_offset(q) + k, in [0, num_active_pairs()). The position
-  /// keys the compiled candidate CSR (identical indices in identical order
-  /// to Protocol::transitions_for) and the parallel opcode-cell stream, so
-  /// firing an active pair needs no hash lookup.
-  std::uint32_t pair_offset(pp::State q) const {
-    return compiled_->pair_offset(q);
-  }
-  /// Pair position of an active (q, r); r must be a partner of q.
-  std::uint32_t pair_pos(pp::State q, pp::State r) const {
-    return compiled_->pair_pos(q, r);
-  }
-  /// The pair's candidate transitions, == Protocol::transitions_for on it.
+  /// Candidate transitions of the active pair at dense *pair position*
+  /// `pos` = compiled().entry_of(q, r), in [0, num_active_pairs()) —
+  /// identical indices in identical order to Protocol::transitions_for.
   std::span<const std::uint32_t> pair_candidates(std::uint32_t pos) const {
     return compiled_->candidates(pos);
   }
@@ -248,15 +242,11 @@ class CountSimulator {
   /// change_count(from, -1); change_count(to, +1) — with a fused fast path
   /// for the dominant firing shape, where both states stay populated.
   void shift_pair(pp::State from, pp::State to);
-  void sorted_insert(pp::State state);
-  void sorted_erase(pp::State state);
-  /// Build matrix row `slot` (activity codes with pair positions) and
-  /// return A(populated_[slot]) — one walk computes both. The slot must
-  /// already be in the populated list; counts must be current. `ranked`
-  /// says whether the slot's own state is already in the sorted list (true
-  /// from load): only then may its self-pair rank bit enter srow_mask_ —
-  /// on a live append the bit arrives via sorted_insert instead.
-  std::uint64_t build_matrix_row(std::uint32_t slot, bool ranked);
+  /// Build row_mask_[slot], set bit `slot` in the columns it covers, and
+  /// return A(populated_[slot]) — one probe walk over the populated list
+  /// computes all three. The slot must already be in the populated list;
+  /// counts must be current.
+  std::uint64_t build_matrix_row(std::uint32_t slot);
   void fire(pp::State q, pp::State r);
   void fire_candidates(pp::State q, pp::State r,
                        std::span<const std::uint32_t> candidates);
@@ -300,11 +290,12 @@ class CountSimulator {
   }
 
   static constexpr std::uint32_t kNoPosition = 0xffffffffu;
-  /// Populated-list capacity of the activity matrix; must stay <= 64 so a
-  /// matrix column fits one col_mask_ word.
+  /// Populated-list capacity of the activity masks; must stay <= 64 so a
+  /// row or column fits one 64-bit word.
   static constexpr std::uint32_t kMatrixSlots = 64;
-  /// Populated-list size below which step_meeting's pair sampling uses the
-  /// seed engine's linear prefix scans instead of the count tree.
+  /// Populated-list size up to which the interp core selects slots — the
+  /// firing's initiator and step_meeting's meeting pair — with the seed
+  /// engine's linear prefix scans instead of a tree descent.
   static constexpr std::size_t kLinearSlots = 32;
 
   const pp::Protocol* protocol_;
@@ -335,40 +326,26 @@ class CountSimulator {
   std::vector<std::uint64_t> flat_weight_;
   std::uint64_t flat_total_ = 0;
   bool bc_ = false;  ///< options_.dispatch == kBytecode, cached
-  /// The populated states in ascending state order — the responder-walk
-  /// order. Maintained incrementally (O(#populated) on populate/depopulate,
-  /// both rare) so sampling never sorts.
-  std::vector<pp::State> sorted_populated_;
-  /// Slot-by-slot activity matrix over the populated list. Cell
-  /// act_[i * kMatrixSlots + j] describes (populated_[i], populated_[j]):
-  /// 0 — inactive; 1 — active, pair position not yet resolved; c >= 2 —
-  /// active at PairIndex pair position c − 2, giving the firing path its
-  /// candidate transitions without a hash lookup. 16 KB and L1-resident,
-  /// it replaces the |Q|²-bit PairIndex probes on every hot-path walk;
-  /// PairIndex is consulted only when a state enters the populated list.
-  /// Maintained while the populated list fits in kMatrixSlots slots
-  /// (matrix_ok_); beyond that the simulator falls back to
-  /// PairIndex::pair_active until the next reset.
-  std::vector<std::uint32_t> act_;
-  /// col_mask_[j]: bit i set iff (populated_[i], populated_[j]) is active —
-  /// the initiator slots watching populated_[j], as a 64-bit set mirroring
-  /// matrix column j. A count change walks only the set bits, and the
-  /// fused pair shift walks the XOR of two columns — empty whenever both
-  /// states are watched by the same initiators, the typical firing.
+  /// Slot-indexed activity masks over the populated list, two words per
+  /// slot. col_mask_[j]: bit i set iff (populated_[i], populated_[j]) is
+  /// active — the initiator slots watching populated_[j]. A count change
+  /// walks only its set bits, and the fused pair shift walks the XOR of
+  /// two columns — empty whenever both states are watched by the same
+  /// initiators, the typical firing. row_mask_[i]: bit j set under the
+  /// same condition — slot i's active populated responders, which the
+  /// responder walk gathers and sorts by state. A state entering the list
+  /// is linked by PairIndex probes over the filled slots; one leaving it
+  /// relabels both families in place. Maintained while the populated list
+  /// fits in kMatrixSlots slots (matrix_ok_); beyond that the simulator
+  /// probes PairIndex::pair_active until the next reset.
   std::array<std::uint64_t, kMatrixSlots> col_mask_{};
-  /// srow_mask_[i]: bit k set iff (populated_[i], sorted_populated_[k]) is
-  /// active — slot i's matrix row re-indexed by *sorted rank*, so the
-  /// responder walk visits exactly the active populated partners in
-  /// ascending state order by iterating set bits. sorted_insert /
-  /// sorted_erase shift the rank bits of every live mask in lockstep with
-  /// the list.
-  std::array<std::uint64_t, kMatrixSlots> srow_mask_{};
-  /// rank_[i]: sorted rank of populated_[i] — the bit position slot i's
-  /// state occupies in every srow_mask_. Maintained by sorted_insert /
-  /// sorted_erase in the same loop that shifts the masks, so
-  /// build_matrix_row can emit rank bits straight from its partner walk.
-  std::array<std::uint8_t, kMatrixSlots> rank_{};
+  std::array<std::uint64_t, kMatrixSlots> row_mask_{};
   bool matrix_ok_ = false;
+  /// Responder-walk scratch, reused across firings: the active partners
+  /// gathered from a row mask, and the matrix-less fallback's list (which
+  /// can exceed kMatrixSlots entries).
+  std::array<pp::State, kMatrixSlots> row_partners_{};
+  std::vector<pp::State> responders_;
   /// Memoised geometric-law parameters for sample_null_run: log1p(−p) for
   /// the current (W, m). The dominant firing moves one agent between two
   /// register states watched by the same initiators, which leaves W — and

@@ -186,12 +186,6 @@ void validate(const CompiledProtocol::RawTables& t) {
 
 }  // namespace
 
-std::uint32_t CompiledProtocol::pair_pos(pp::State q, pp::State r) const {
-  const auto partners = partners_of(q);
-  const auto it = std::lower_bound(partners.begin(), partners.end(), r);
-  return t_.out_begin[q] + static_cast<std::uint32_t>(it - partners.begin());
-}
-
 std::shared_ptr<const CompiledProtocol> CompiledProtocol::compile(
     const pp::Protocol& protocol) {
   RawTables t;

@@ -615,13 +615,12 @@ struct Server::Impl {
 
   void handle_connection(int fd) {
     Metrics& metrics = Metrics::get();
-    // Bound how long a silent client can stall the accept loop.
-    timeval timeout{5, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     std::string payload;
     QueryParams query;
     try {
-      if (!read_frame(fd, payload, kMaxQueryFrameBytes)) {
+      // One deadline for the whole frame bounds how long a silent or
+      // trickling client can stall the accept loop.
+      if (!read_frame(fd, payload, kMaxQueryFrameBytes, kQueryFrameDeadline)) {
         ::close(fd);
         return;
       }

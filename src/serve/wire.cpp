@@ -1,11 +1,13 @@
 #include "serve/wire.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
+#include <poll.h>
 #include <unistd.h>
 
 namespace ppde::serve {
@@ -29,11 +31,30 @@ void write_full(int fd, const char* data, std::size_t size) {
   }
 }
 
+using Clock = std::chrono::steady_clock;
+
+/// Wait until `fd` is readable; throws once `deadline` has passed.
+void await_readable(int fd, Clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0)
+      throw std::runtime_error("serve wire: frame deadline exceeded");
+    pollfd watch{fd, POLLIN, 0};
+    const int ready = ::poll(&watch, 1, static_cast<int>(left.count()));
+    if (ready > 0) return;
+    if (ready < 0 && errno != EINTR) io_error("poll");
+  }
+}
+
 /// Read exactly `size` bytes. Returns false on EOF before the first byte
 /// (only meaningful at a frame boundary); throws on error or partial EOF.
-bool read_full(int fd, char* data, std::size_t size) {
+/// With a `deadline`, each read first waits only for the time left.
+bool read_full(int fd, char* data, std::size_t size,
+               const Clock::time_point* deadline) {
   std::size_t got = 0;
   while (got < size) {
+    if (deadline != nullptr) await_readable(fd, *deadline);
     const ssize_t n = ::read(fd, data + got, size - got);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -61,9 +82,12 @@ void write_frame(int fd, std::string_view payload) {
   write_full(fd, payload.data(), payload.size());
 }
 
-bool read_frame(int fd, std::string& payload, std::size_t max_bytes) {
+bool read_frame(int fd, std::string& payload, std::size_t max_bytes,
+                std::chrono::milliseconds timeout) {
+  const Clock::time_point deadline = Clock::now() + timeout;
+  const Clock::time_point* bound = timeout.count() > 0 ? &deadline : nullptr;
   unsigned char header[4];
-  if (!read_full(fd, reinterpret_cast<char*>(header), sizeof header))
+  if (!read_full(fd, reinterpret_cast<char*>(header), sizeof header, bound))
     return false;
   const std::uint32_t size = (std::uint32_t{header[0]} << 24) |
                              (std::uint32_t{header[1]} << 16) |
@@ -72,7 +96,7 @@ bool read_frame(int fd, std::string& payload, std::size_t max_bytes) {
   if (size > max_bytes)
     throw std::runtime_error("serve wire: frame exceeds size limit");
   payload.resize(size);
-  if (size > 0 && !read_full(fd, payload.data(), size))
+  if (size > 0 && !read_full(fd, payload.data(), size, bound))
     throw std::runtime_error("serve wire: EOF mid-frame");
   return true;
 }

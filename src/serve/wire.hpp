@@ -17,6 +17,7 @@
 // and never touch the number path at all.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,6 +35,12 @@ constexpr std::size_t kMaxFrameBytes = 64u << 20;
 /// kMaxFrameBytes and never buffers megabytes for an untrusted peer.
 constexpr std::size_t kMaxQueryFrameBytes = 64u << 10;
 
+/// Time a client has to deliver one whole query frame, header and payload.
+/// The daemon reads client frames on its accept thread, so the bound is on
+/// the frame, not on each read: a peer trickling bytes cannot stall
+/// admission for longer than this.
+constexpr std::chrono::milliseconds kQueryFrameDeadline{5000};
+
 /// Write one length-prefixed frame; retries on EINTR / short writes.
 /// Throws std::runtime_error on IO failure (e.g. the peer died — the
 /// supervisor turns that into worker-death handling).
@@ -41,9 +48,11 @@ void write_frame(int fd, std::string_view payload);
 
 /// Read one frame into `payload`. Returns false on clean EOF at a frame
 /// boundary (the peer closed); throws std::runtime_error on IO failure,
-/// EOF mid-frame, or a length above `max_bytes`.
+/// EOF mid-frame, a length above `max_bytes`, or — when `timeout` is
+/// positive — a frame not complete within `timeout` of the call.
 bool read_frame(int fd, std::string& payload,
-                std::size_t max_bytes = kMaxFrameBytes);
+                std::size_t max_bytes = kMaxFrameBytes,
+                std::chrono::milliseconds timeout = {});
 
 /// A parsed JSON value.
 class Json {

@@ -372,6 +372,24 @@ pp::Protocol make_carousel_protocol(std::uint32_t n) {
   return protocol;
 }
 
+/// Number of states holding at least one agent — the engine's populated
+/// list length.
+std::size_t populated_states(const pp::Config& config) {
+  return static_cast<std::size_t>(
+      std::count_if(config.counts().begin(), config.counts().end(),
+                    [](std::uint32_t c) { return c != 0; }));
+}
+
+/// A 120-state carousel with three agents on each of states 0..59: the
+/// populated list starts at 60 slots and spreads past the 64-slot mask
+/// capacity, so a run crosses from the mask path to the matrix-less
+/// fallback mid-trajectory.
+pp::Config spreading_carousel_initial(const pp::Protocol& carousel) {
+  pp::Config initial(carousel.num_states());
+  for (pp::State q = 0; q < 60; ++q) initial.add(q, 3);
+  return initial;
+}
+
 TEST(PairIndex, MarksExactlyTheNonSilentPairs) {
   const pp::Protocol majority = baselines::make_majority();
   const PairIndex index(majority);
@@ -666,11 +684,15 @@ TEST(Ensemble, FleetRethrowsBodyExceptions) {
 
 TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   // The tentpole contract: same seed, same trajectory, bit for bit — the
-  // Fenwick/matrix machinery may only change how fast the next firing is
-  // found, never which firing it is. Four protocols cover the regimes:
+  // Fenwick/mask machinery may only change how fast the next firing is
+  // found, never which firing it is. The protocols cover the regimes:
   // tiny two-state, the 4-state majority, the converted Czerner n = 1
-  // (≈880 states, ~24 populated, heavy populate/depopulate churn), and a
-  // 40-state carousel that pushes past the linear-scan thresholds.
+  // (≈880 states, ~24 populated, heavy populate/depopulate churn), the
+  // same conversion at |F| + 2 agents (the certify statement, where almost
+  // every firing populates or depopulates a state), a 40-state carousel
+  // that pushes past the linear-scan thresholds, and a 120-state carousel
+  // whose populated list outgrows the 64 activity-mask slots mid-run. Every
+  // case runs under both dispatch cores.
   const pp::Protocol opinion = make_opinion_protocol();
   const pp::Protocol majority = baselines::make_majority();
   const auto lowered =
@@ -679,40 +701,59 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   const pp::Protocol carousel = make_carousel_protocol(40);
   pp::Config carousel_initial(carousel.num_states());
   for (pp::State q = 0; q < 40; ++q) carousel_initial.add(q, 3);
+  const pp::Protocol wide_carousel = make_carousel_protocol(120);
 
   struct Case {
     const pp::Protocol* protocol;
     pp::Config initial;
     int steps;
+    bool crosses_mask_capacity;
   };
   const Case cases[] = {
-      {&opinion, opinion_initial(opinion, 5, 4), 4'000},
-      {&majority, baselines::majority_initial(majority, 23, 20), 4'000},
-      {&conv.protocol, conv.initial_config(conv.num_pointers + 400), 12'000},
-      {&carousel, carousel_initial, 12'000},
+      {&opinion, opinion_initial(opinion, 5, 4), 4'000, false},
+      {&majority, baselines::majority_initial(majority, 23, 20), 4'000, false},
+      {&conv.protocol, conv.initial_config(conv.num_pointers + 400), 12'000,
+       false},
+      {&conv.protocol, conv.initial_config(conv.num_pointers + 2), 12'000,
+       false},
+      {&carousel, carousel_initial, 12'000, false},
+      {&wide_carousel, spreading_carousel_initial(wide_carousel), 3'000, true},
   };
   for (const Case& test_case : cases) {
-    for (const bool null_skip : {true, false}) {
-      for (const std::uint64_t seed : {1ull, 29ull}) {
-        CountSimOptions options;
-        options.null_skip = null_skip;
-        CountSimulator sim(*test_case.protocol, test_case.initial, seed,
-                           options);
-        LinearScanOracle oracle(*test_case.protocol, test_case.initial, seed,
-                                null_skip);
-        for (int step = 0; step < test_case.steps; ++step) {
-          sim.step();
-          oracle.step();
-          ASSERT_EQ(sim.interactions(), oracle.interactions())
-              << "step " << step << " skip=" << null_skip;
-          ASSERT_EQ(sim.metrics().firings, oracle.firings())
-              << "step " << step << " skip=" << null_skip;
-          if (step % 64 == 0 || step + 1 == test_case.steps) {
-            ASSERT_EQ(sim.config(), oracle.config())
-                << "step " << step << " skip=" << null_skip;
+    for (const isa::Dispatch dispatch :
+         {isa::Dispatch::kBytecode, isa::Dispatch::kInterp}) {
+      for (const bool null_skip : {true, false}) {
+        for (const std::uint64_t seed : {1ull, 29ull}) {
+          CountSimOptions options;
+          options.null_skip = null_skip;
+          options.dispatch = dispatch;
+          CountSimulator sim(*test_case.protocol, test_case.initial, seed,
+                             options);
+          LinearScanOracle oracle(*test_case.protocol, test_case.initial,
+                                  seed, null_skip);
+          ASSERT_LE(populated_states(sim.config()), 64u);
+          std::size_t widest = 0;
+          const auto where = [&](int step) {
+            return "step " + std::to_string(step) +
+                   " skip=" + std::to_string(null_skip) +
+                   " dispatch=" + std::to_string(static_cast<int>(dispatch));
+          };
+          for (int step = 0; step < test_case.steps; ++step) {
+            sim.step();
+            oracle.step();
+            ASSERT_EQ(sim.interactions(), oracle.interactions()) << where(step);
+            ASSERT_EQ(sim.metrics().firings, oracle.firings()) << where(step);
+            if (test_case.crosses_mask_capacity)
+              widest = std::max(widest, populated_states(sim.config()));
+            if (step % 64 == 0 || step + 1 == test_case.steps) {
+              ASSERT_EQ(sim.config(), oracle.config()) << where(step);
+            }
+          }
+          ASSERT_EQ(sim.metrics().meetings, oracle.meetings());
+          if (test_case.crosses_mask_capacity) {
+            EXPECT_GT(widest, 64u) << "the run never left the mask path";
           }
         }
-        ASSERT_EQ(sim.metrics().meetings, oracle.meetings());
       }
     }
   }
@@ -890,6 +931,36 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
     EXPECT_EQ(fresh.interactions(), reused.interactions());
     EXPECT_EQ(fresh.metrics().firings, reused.metrics().firings);
     EXPECT_EQ(fresh.metrics().meetings, reused.metrics().meetings);
+    EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
+    EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
+  }
+  // A run whose populated list outgrew the 64 activity-mask slots leaves
+  // the simulator on the matrix-less fallback; reset must restore the mask
+  // path from scratch.
+  const pp::Protocol carousel = make_carousel_protocol(120);
+  pp::Config narrow(carousel.num_states());
+  for (pp::State q = 0; q < 10; ++q) narrow.add(q, 3);
+  for (const isa::Dispatch dispatch :
+       {isa::Dispatch::kBytecode, isa::Dispatch::kInterp}) {
+    CountSimOptions options;
+    options.dispatch = dispatch;
+    CountSimulator fresh(carousel, narrow, 77, options);
+    CountSimulator reused(carousel, spreading_carousel_initial(carousel), 5,
+                          options);
+    int steps = 0;
+    while (populated_states(reused.config()) <= 64 && steps < 10'000) {
+      reused.step();
+      ++steps;
+    }
+    ASSERT_GT(populated_states(reused.config()), 64u);
+    reused.reset(narrow, 77);
+    for (int step = 0; step < 2'000; ++step) {
+      fresh.step();
+      reused.step();
+    }
+    EXPECT_EQ(fresh.config(), reused.config());
+    EXPECT_EQ(fresh.interactions(), reused.interactions());
+    EXPECT_EQ(fresh.metrics().firings, reused.metrics().firings);
     EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
     EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
   }

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -797,6 +798,65 @@ TEST(Server, OversizedClientFrameGetsAnErrorAndServingContinues) {
   EXPECT_FALSE(rejected.boolean("ok", true)) << response;
   EXPECT_NE(rejected.str("error", "").find("size limit"), std::string::npos)
       << response;
+
+  // The next query, on a fresh connection, is served normally.
+  ASSERT_TRUE(rpc(running.endpoint(), encode_query(QueryParams{"stats"}),
+                  &response, &error))
+      << error;
+  EXPECT_TRUE(Json::parse(response).boolean("ok", false)) << response;
+}
+
+TEST(Server, TricklingClientIsCutOffAtTheFrameDeadline) {
+  ServerOptions options;
+  options.port = 0;
+  options.workers = 1;
+  RunningServer running(options);
+
+  // Declare a 100-byte query frame, then trickle its payload one byte per
+  // second: every single read completes quickly, but the frame never does
+  // within the deadline. The daemon must give up on the whole frame —
+  // answer with an error or close — within the deadline plus a second.
+  std::string error;
+  const int fd = connect_hostport(running.endpoint(), &error);
+  ASSERT_GE(fd, 0) << error;
+  const auto start = std::chrono::steady_clock::now();
+  constexpr std::uint32_t kDeclared = 100;
+  const unsigned char header[4] = {0, 0, 0, kDeclared};
+  ASSERT_EQ(::send(fd, header, sizeof header, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof header));
+  const auto limit = kQueryFrameDeadline + std::chrono::seconds(1);
+  bool answered = false;
+  for (std::uint32_t sent = 0; sent < kDeclared; ++sent) {
+    pollfd watch{fd, POLLIN, 0};
+    if (::poll(&watch, 1, 1000) > 0) {
+      answered = true;
+      break;
+    }
+    if (std::chrono::steady_clock::now() - start > limit) break;
+    const char byte = ' ';
+    if (::send(fd, &byte, 1, MSG_NOSIGNAL) != 1) {
+      answered = true;  // the daemon already closed its end
+      break;
+    }
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  if (!answered) {
+    ::close(fd);  // unblocks a daemon still waiting on the frame
+    FAIL() << "no reply or close within the frame deadline";
+  }
+  EXPECT_LE(waited, limit);
+  std::string response;
+  try {
+    if (read_frame(fd, response)) {
+      const Json rejected = Json::parse(response);
+      EXPECT_FALSE(rejected.boolean("ok", true)) << response;
+      EXPECT_NE(rejected.str("error", "").find("deadline"), std::string::npos)
+          << response;
+    }
+  } catch (const std::runtime_error&) {
+    // A reset instead of a reply: the daemon closed with bytes unread.
+  }
+  ::close(fd);
 
   // The next query, on a fresh connection, is served normally.
   ASSERT_TRUE(rpc(running.endpoint(), encode_query(QueryParams{"stats"}),

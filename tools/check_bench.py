@@ -71,6 +71,14 @@ def check_engine(path, doc):
     require(path, any(row["harness"] == "fleet" and row["m"] == 100014
                       for row in rows),
             "missing fleet row at m=100014")
+    # The certify statement's population, m = |F| + 2 = 16, where nearly
+    # every firing populates or depopulates a state: a count+null-skip step
+    # row per dispatch core.
+    for dispatch in ("interp", "bytecode"):
+        require(path, any(row["m"] == 16 and row["mode"] == "count+null-skip"
+                          and row["harness"] == "step"
+                          and row["dispatch"] == dispatch for row in rows),
+                f"missing count+null-skip step row at m=16 ({dispatch})")
 
 
 def row_key(row):
