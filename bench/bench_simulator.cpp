@@ -230,13 +230,20 @@ int write_json_report(const char* path, double budget_seconds) {
   const auto conv = compile::machine_to_protocol(lowered.machine);
 
   std::vector<ReportRow> rows;
-  for (const std::uint32_t extra : {10'000u, 100'000u}) {
-    double null_skip_bytecode_rate = 0.0;
+  // The fleet row runs a fixed per-trial interaction budget (2-5 s on one
+  // core of a 4-core Xeon), so every build fires the same trajectories and
+  // two reports compare like for like.
+  struct Size {
+    std::uint32_t extra;
+    std::uint64_t fleet_per_trial;
+  };
+  for (const Size size : {Size{10'000u, 6'000'000'000'000ULL},
+                          Size{100'000u, 20'000'000'000'000ULL}}) {
     std::uint32_t m = 0;
     for (const isa::Dispatch dispatch :
          {isa::Dispatch::kInterp, isa::Dispatch::kBytecode}) {
       const EngineComparison comparison =
-          measure_engines(extra, budget_seconds, dispatch);
+          measure_engines(size.extra, budget_seconds, dispatch);
       m = comparison.m;
       for (const EngineRow& row : comparison.rows) {
         const double eff =
@@ -245,19 +252,10 @@ int write_json_report(const char* path, double budget_seconds) {
             static_cast<double>(row.firings) / row.seconds;
         rows.push_back({comparison.m, row.name, isa::to_string(dispatch),
                         "step", firings, eff});
-        if (dispatch == isa::Dispatch::kBytecode &&
-            std::string_view(row.name) == "count+null-skip")
-          null_skip_bytecode_rate = eff;
       }
     }
-    // Fleet row: per-trial budget calibrated from the step loop's
-    // measured rate so the fleet spends ~budget_seconds.
-    const std::uint64_t trials = 32;
-    const std::uint64_t per_trial = std::max<std::uint64_t>(
-        100'000,
-        static_cast<std::uint64_t>(null_skip_bytecode_rate * budget_seconds) /
-            trials);
-    rows.push_back(measure_fleet(conv, m, trials, per_trial));
+    rows.push_back(
+        measure_fleet(conv, m, /*trials=*/32, size.fleet_per_trial));
   }
   for (const isa::Dispatch dispatch :
        {isa::Dispatch::kInterp, isa::Dispatch::kBytecode})

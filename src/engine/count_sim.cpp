@@ -35,6 +35,7 @@ CountSimulator::CountSimulator(const pp::Protocol& protocol,
       options_(options),
       counts_(protocol.num_states()),
       position_(protocol.num_states(), kNoPosition),
+      last_fired_(protocol.num_states(), {kNoPosition, 0}),
       active_(options.dispatch == isa::Dispatch::kBytecode
                   ? 0
                   : protocol.num_states()),
@@ -64,7 +65,10 @@ void CountSimulator::load(const pp::Config& initial) {
   }
   const auto filled = static_cast<std::uint32_t>(populated_.size());
   matrix_ok_ = filled <= kMatrixSlots;
-  if (matrix_ok_) col_mask_.fill(0);
+  if (matrix_ok_)
+    col_mask_.fill(0);
+  else
+    sorted_populated_ = populated_;  // filled in ascending state order
   partner_sum_.resize(filled);
   for (std::uint32_t slot = 0; slot < filled; ++slot) {
     const pp::State q = populated_[slot];
@@ -81,6 +85,7 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
     position_[q] = kNoPosition;
   }
   populated_.clear();
+  sorted_populated_.clear();
   partner_sum_.clear();
   if (bc_) {
     flat_weight_.clear();
@@ -183,8 +188,11 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
 
   const auto filled = static_cast<std::uint32_t>(populated_.size());
   const bool appearing = position_[state] == kNoPosition;  // delta > 0 then
-  if (matrix_ok_ && appearing && filled >= kMatrixSlots)
+  if (matrix_ok_ && appearing && filled >= kMatrixSlots) {
     matrix_ok_ = false;  // populated list outgrew the matrix; until reset
+    sorted_populated_ = populated_;
+    std::sort(sorted_populated_.begin(), sorted_populated_.end());
+  }
 
   // Every populated initiator q with (q, state) active sees its partner
   // sum move by delta.
@@ -266,6 +274,9 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
         col_mask_[j] = relabel(col_mask_[j]);
         row_mask_[j] = relabel(row_mask_[j]);
       }
+    } else {
+      sorted_populated_.erase(std::lower_bound(
+          sorted_populated_.begin(), sorted_populated_.end(), state));
     }
     partner_sum_.pop_back();
     weight_pop();
@@ -274,6 +285,10 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     const auto slot = static_cast<std::uint32_t>(populated_.size());
     position_[state] = slot;
     populated_.push_back(state);
+    if (!matrix_ok_)
+      sorted_populated_.insert(std::upper_bound(sorted_populated_.begin(),
+                                                sorted_populated_.end(), state),
+                               state);
     // Column `slot` was built before the A-loop; one fused walk builds the
     // row (diagonal included) and the fresh partner sum.
     partner_sum_.push_back(matrix_ok_ ? build_matrix_row(slot)
@@ -394,31 +409,47 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
   // The seed engine's responder walk visits q's partners in ascending
   // state order, each absorbing its pair weight. Restricting it to the
   // populated states selects the identical responder: a zero-count partner
-  // carries zero weight and can never absorb the remainder. So gather the
-  // active populated partners (typically one to three set bits of the row
-  // mask), sort them by state, and walk them.
+  // carries zero weight and can never absorb the remainder. With the masks,
+  // gather the row mask's set bits (typically one to three) and sort them
+  // by state. Past kSortedPartners bits, if q's partner row is short
+  // (flock's broadcast levels), walk that row instead: it is in state order
+  // already. Without the masks, walk the shorter of the partner row and
+  // the sorted populated list, probing the latter for activity.
   std::span<const pp::State> responders;
+  bool probe = false;
   if (matrix_ok_) {
+    std::uint64_t mask = row_mask_[slot];
     std::size_t n = 0;
-    for (std::uint64_t mask = row_mask_[slot]; mask != 0; mask &= mask - 1) {
-      const pp::State partner =
+    for (; mask != 0; mask &= mask - 1) {
+      if (n == kSortedPartners &&
+          index_->partners_of(q).size() <= kMatrixSlots)
+        break;
+      row_partners_[n++] =
           populated_[static_cast<std::uint32_t>(std::countr_zero(mask))];
-      std::size_t k = n++;
-      for (; k != 0 && row_partners_[k - 1] > partner; --k)
-        row_partners_[k] = row_partners_[k - 1];
-      row_partners_[k] = partner;
     }
-    responders = {row_partners_.data(), n};
+    if (mask != 0) {
+      responders = index_->partners_of(q);
+    } else {
+      for (std::size_t i = 1; i < n; ++i) {
+        const pp::State partner = row_partners_[i];
+        std::size_t k = i;
+        for (; k != 0 && row_partners_[k - 1] > partner; --k)
+          row_partners_[k] = row_partners_[k - 1];
+        row_partners_[k] = partner;
+      }
+      responders = {row_partners_.data(), n};
+    }
   } else {
-    responders_.clear();
-    for (const pp::State partner : populated_)
-      if (index_->pair_active(q, partner)) responders_.push_back(partner);
-    std::sort(responders_.begin(), responders_.end());
-    responders = responders_;
+    responders = index_->partners_of(q);
+    if (responders.size() > populated_.size()) {
+      responders = sorted_populated_;
+      probe = true;
+    }
   }
   pp::State r = q;  // overwritten below; the walk always selects, since
                     // remaining < the slot's total pair weight
   for (const pp::State partner : responders) {
+    if (probe && !index_->pair_active(q, partner)) continue;
     const std::uint64_t weight =
         cq * (counts_[partner] - (partner == q ? 1 : 0));
     if (remaining < weight) {
@@ -427,7 +458,9 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
     }
     remaining -= weight;
   }
-  const std::uint32_t pos = index_->compiled().entry_of(q, r);  // active
+  auto& memo = last_fired_[q];
+  if (memo.first != r) memo = {r, index_->compiled().entry_of(q, r)};
+  const std::uint32_t pos = memo.second;  // (q, r) is active
   if (bc_)
     fire_cells(q, r, pos);
   else

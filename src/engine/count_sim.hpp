@@ -309,6 +309,11 @@ class CountSimulator {
   /// are ever occupied while adjacency degrees reach |Q|.
   std::vector<pp::State> populated_;
   std::vector<std::uint32_t> position_;  ///< state -> index in populated_
+  /// Per initiator state, the responder it last fired with and that pair's
+  /// position. Pair positions are static, so the memo never goes stale and
+  /// survives reset; a repeat pair skips the entry_of probe (a
+  /// perfect-hash lookup on the large converted protocols).
+  std::vector<std::pair<pp::State, std::uint32_t>> last_fired_;
   /// partner_sum_[slot] = A(populated_[slot]); parallel to populated_.
   std::vector<std::uint64_t> partner_sum_;
   /// Per-slot active weights C(q)·A(q); total() is W. Interp dispatch
@@ -337,15 +342,21 @@ class CountSimulator {
   /// is linked by PairIndex probes over the filled slots; one leaving it
   /// relabels both families in place. Maintained while the populated list
   /// fits in kMatrixSlots slots (matrix_ok_); beyond that the simulator
-  /// probes PairIndex::pair_active until the next reset.
+  /// walks adjacency lists or probes PairIndex::pair_active until the next
+  /// reset.
   std::array<std::uint64_t, kMatrixSlots> col_mask_{};
   std::array<std::uint64_t, kMatrixSlots> row_mask_{};
   bool matrix_ok_ = false;
+  /// Row-mask partners the responder walk always sorts; past this many it
+  /// walks the initiator's partner row instead when that row has at most
+  /// kMatrixSlots entries.
+  static constexpr std::size_t kSortedPartners = 16;
   /// Responder-walk scratch, reused across firings: the active partners
-  /// gathered from a row mask, and the matrix-less fallback's list (which
-  /// can exceed kMatrixSlots entries).
+  /// gathered from a row mask.
   std::array<pp::State, kMatrixSlots> row_partners_{};
-  std::vector<pp::State> responders_;
+  /// The populated states in ascending order, kept only while the masks
+  /// are off (empty otherwise) for the fallback's responder walk.
+  std::vector<pp::State> sorted_populated_;
   /// Memoised geometric-law parameters for sample_null_run: log1p(−p) for
   /// the current (W, m). The dominant firing moves one agent between two
   /// register states watched by the same initiators, which leaves W — and

@@ -49,12 +49,13 @@ void await_readable(int fd, Clock::time_point deadline) {
 
 /// Read exactly `size` bytes. Returns false on EOF before the first byte
 /// (only meaningful at a frame boundary); throws on error or partial EOF.
-/// With a `deadline`, each read first waits only for the time left.
+/// Unless `deadline` is Clock::time_point::max(), each read first waits
+/// only for the time left.
 bool read_full(int fd, char* data, std::size_t size,
-               const Clock::time_point* deadline) {
+               Clock::time_point deadline) {
   std::size_t got = 0;
   while (got < size) {
-    if (deadline != nullptr) await_readable(fd, *deadline);
+    if (deadline != Clock::time_point::max()) await_readable(fd, deadline);
     const ssize_t n = ::read(fd, data + got, size - got);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -84,10 +85,11 @@ void write_frame(int fd, std::string_view payload) {
 
 bool read_frame(int fd, std::string& payload, std::size_t max_bytes,
                 std::chrono::milliseconds timeout) {
-  const Clock::time_point deadline = Clock::now() + timeout;
-  const Clock::time_point* bound = timeout.count() > 0 ? &deadline : nullptr;
+  const Clock::time_point deadline = timeout.count() > 0
+                                         ? Clock::now() + timeout
+                                         : Clock::time_point::max();
   unsigned char header[4];
-  if (!read_full(fd, reinterpret_cast<char*>(header), sizeof header, bound))
+  if (!read_full(fd, reinterpret_cast<char*>(header), sizeof header, deadline))
     return false;
   const std::uint32_t size = (std::uint32_t{header[0]} << 24) |
                              (std::uint32_t{header[1]} << 16) |
@@ -96,7 +98,7 @@ bool read_frame(int fd, std::string& payload, std::size_t max_bytes,
   if (size > max_bytes)
     throw std::runtime_error("serve wire: frame exceeds size limit");
   payload.resize(size);
-  if (size > 0 && !read_full(fd, payload.data(), size, bound))
+  if (size > 0 && !read_full(fd, payload.data(), size, deadline))
     throw std::runtime_error("serve wire: EOF mid-frame");
   return true;
 }
