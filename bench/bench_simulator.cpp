@@ -28,7 +28,6 @@
 #include "czerner/construction.hpp"
 #include "engine/count_sim.hpp"
 #include "engine/ensemble.hpp"
-#include "isa/compiled.hpp"
 #include "pp/simulator.hpp"
 #include "pp/verifier.hpp"
 
@@ -70,8 +69,7 @@ struct EngineComparison {
 };
 
 EngineComparison measure_engines(std::uint32_t extra_agents,
-                                 double budget_seconds,
-                                 isa::Dispatch dispatch) {
+                                 double budget_seconds) {
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
@@ -83,7 +81,7 @@ EngineComparison measure_engines(std::uint32_t extra_agents,
   result.m = conv.num_pointers + extra_agents;
 
   {
-    pp::Simulator sim(conv.protocol, initial, 13, dispatch);
+    pp::Simulator sim(conv.protocol, initial, 13);
     const auto start = std::chrono::steady_clock::now();
     run_for(budget_seconds, [&] { sim.step(); });
     const double elapsed =
@@ -96,7 +94,6 @@ EngineComparison measure_engines(std::uint32_t extra_agents,
   for (int skip = 0; skip <= 1; ++skip) {
     engine::CountSimOptions options;
     options.null_skip = skip != 0;
-    options.dispatch = dispatch;
     engine::CountSimulator sim(conv.protocol, index, initial, 13, options);
     const auto start = std::chrono::steady_clock::now();
     run_for(budget_seconds, [&] { sim.step(); });
@@ -112,13 +109,13 @@ EngineComparison measure_engines(std::uint32_t extra_agents,
 }
 
 void print_engine_comparison(std::uint32_t extra_agents,
-                             double budget_seconds, isa::Dispatch dispatch) {
+                             double budget_seconds) {
   const EngineComparison comparison =
-      measure_engines(extra_agents, budget_seconds, dispatch);
+      measure_engines(extra_agents, budget_seconds);
   std::printf(
       "\n=== Engine comparison: converted Czerner n=1, m = %u agents, "
-      "%.1fs budget per engine, %s dispatch ===\n",
-      comparison.m, budget_seconds, isa::to_string(dispatch));
+      "%.1fs budget per engine ===\n",
+      comparison.m, budget_seconds);
   std::printf("%-16s %18s %14s %20s %10s\n", "engine", "interactions",
               "firings", "eff. interactions/s", "speedup");
   const double base =
@@ -136,7 +133,7 @@ void print_engine_comparison(std::uint32_t extra_agents,
 
 // ---------------------------------------------------------------------------
 // Machine-readable perf regression report (--json[=path]). One row per
-// (m, engine mode, dispatch mode, harness) on the converted Czerner n=1
+// (m, engine mode, harness) on the converted Czerner n=1
 // protocol; the perf-smoke CI job validates the schema and
 // archives the file so throughput trends stay visible across commits.
 // firings_per_sec is the regression metric (work actually done);
@@ -147,13 +144,13 @@ void print_engine_comparison(std::uint32_t extra_agents,
 // threads = 1. Schema v4 drops the lockstep "batch" column and "simd"
 // tag with the lockstep core: one fleet row per m, scalar. v4 reports
 // also carry count+null-skip step rows at m = |F| + 2, the certify
-// statement's population, for both dispatch cores.
+// statement's population. Schema v5 drops the "dispatch" column with the
+// interp core: every row runs the one bytecode core.
 // ---------------------------------------------------------------------------
 
 struct ReportRow {
   std::uint32_t m;
   const char* mode;
-  const char* dispatch;
   const char* harness;
   double firings_per_sec;
   double effective_meetings_per_sec;
@@ -171,7 +168,6 @@ ReportRow measure_fleet(const compile::ProtocolConversion& conv,
   options.threads = 1;
   options.master_seed = 13;
   options.engine = engine::EngineKind::kCountNullSkip;
-  options.dispatch = isa::Dispatch::kBytecode;
   options.sim.stable_window = ~std::uint64_t{0} / 4;
   options.sim.max_interactions = per_trial;
   const engine::EnsembleStats stats =
@@ -179,7 +175,6 @@ ReportRow measure_fleet(const compile::ProtocolConversion& conv,
   const double wall = stats.wall_seconds > 0 ? stats.wall_seconds : 1e-9;
   return {m,
           "count+null-skip",
-          "bytecode",
           "fleet",
           static_cast<double>(stats.totals.firings) / wall,
           static_cast<double>(stats.totals.meetings) / wall};
@@ -191,15 +186,12 @@ ReportRow measure_fleet(const compile::ProtocolConversion& conv,
 /// decides; a frozen run restarts from the initial configuration with the
 /// next seed, as the next trial would.
 ReportRow measure_small_population(const compile::ProtocolConversion& conv,
-                                   double budget_seconds,
-                                   isa::Dispatch dispatch) {
+                                   double budget_seconds) {
   const std::uint32_t m = conv.num_pointers + 2;
   const pp::Config initial = conv.initial_config(m);
   const engine::PairIndex index(conv.protocol);
-  engine::CountSimOptions options;
-  options.dispatch = dispatch;
   std::uint64_t seed = 13;
-  engine::CountSimulator sim(conv.protocol, index, initial, seed, options);
+  engine::CountSimulator sim(conv.protocol, index, initial, seed);
   std::uint64_t firings = 0;
   std::uint64_t meetings = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -218,7 +210,6 @@ ReportRow measure_small_population(const compile::ProtocolConversion& conv,
   meetings += sim.interactions();
   return {m,
           "count+null-skip",
-          isa::to_string(dispatch),
           "step",
           static_cast<double>(firings) / elapsed,
           static_cast<double>(meetings) / elapsed};
@@ -239,27 +230,17 @@ int write_json_report(const char* path, double budget_seconds) {
   };
   for (const Size size : {Size{10'000u, 6'000'000'000'000ULL},
                           Size{100'000u, 20'000'000'000'000ULL}}) {
-    std::uint32_t m = 0;
-    for (const isa::Dispatch dispatch :
-         {isa::Dispatch::kInterp, isa::Dispatch::kBytecode}) {
-      const EngineComparison comparison =
-          measure_engines(size.extra, budget_seconds, dispatch);
-      m = comparison.m;
-      for (const EngineRow& row : comparison.rows) {
-        const double eff =
-            static_cast<double>(row.interactions) / row.seconds;
-        const double firings =
-            static_cast<double>(row.firings) / row.seconds;
-        rows.push_back({comparison.m, row.name, isa::to_string(dispatch),
-                        "step", firings, eff});
-      }
+    const EngineComparison comparison =
+        measure_engines(size.extra, budget_seconds);
+    for (const EngineRow& row : comparison.rows) {
+      const double eff = static_cast<double>(row.interactions) / row.seconds;
+      const double firings = static_cast<double>(row.firings) / row.seconds;
+      rows.push_back({comparison.m, row.name, "step", firings, eff});
     }
-    rows.push_back(
-        measure_fleet(conv, m, /*trials=*/32, size.fleet_per_trial));
+    rows.push_back(measure_fleet(conv, comparison.m, /*trials=*/32,
+                                 size.fleet_per_trial));
   }
-  for (const isa::Dispatch dispatch :
-       {isa::Dispatch::kInterp, isa::Dispatch::kBytecode})
-    rows.push_back(measure_small_population(conv, budget_seconds, dispatch));
+  rows.push_back(measure_small_population(conv, budget_seconds));
 
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -268,16 +249,15 @@ int write_json_report(const char* path, double budget_seconds) {
     return 1;
   }
   std::fprintf(out,
-               "{\n  \"bench_engine_v\": 4,\n  \"rows\": [");
+               "{\n  \"bench_engine_v\": 5,\n  \"rows\": [");
   bool first = true;
   for (const ReportRow& row : rows) {
     std::fprintf(out,
                  "%s\n    {\"protocol\": \"czerner-n1-converted\", "
-                 "\"m\": %u, \"mode\": \"%s\", \"dispatch\": \"%s\", "
-                 "\"harness\": \"%s\", "
+                 "\"m\": %u, \"mode\": \"%s\", \"harness\": \"%s\", "
                  "\"firings_per_sec\": %.6e, "
                  "\"effective_meetings_per_sec\": %.6e, \"threads\": 1}",
-                 first ? "" : ",", row.m, row.mode, row.dispatch, row.harness,
+                 first ? "" : ",", row.m, row.mode, row.harness,
                  row.firings_per_sec,
                  row.effective_meetings_per_sec);
     first = false;
@@ -496,10 +476,7 @@ int main(int argc, char** argv) {
     return write_json_report(json_path, /*budget_seconds=*/2.0);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  print_engine_comparison(/*extra_agents=*/10'000, /*budget_seconds=*/1.0,
-                          isa::Dispatch::kInterp);
-  print_engine_comparison(/*extra_agents=*/10'000, /*budget_seconds=*/1.0,
-                          isa::Dispatch::kBytecode);
+  print_engine_comparison(/*extra_agents=*/10'000, /*budget_seconds=*/1.0);
   print_small_population_churn(/*firings=*/2'000'000);
   print_ensemble_scaling(/*population=*/1'000'000, /*trials=*/8);
   benchmark::RunSpecifiedBenchmarks();

@@ -82,8 +82,7 @@ RobustnessResult sweep_simulated(const pp::Protocol& protocol,
   // The shared trial body (S27): per-worker simulator reuse and engine
   // selection live in engine::TrialExecutor; outcomes stay pure functions
   // of (trial, seed).
-  engine::TrialExecutor executor(protocol, kind, isa::Dispatch::kBytecode,
-                                 sched::Scenario{},
+  engine::TrialExecutor executor(protocol, kind, {}, sched::Scenario{},
                                  engine::fleet_workers(trials, threads));
   const std::vector<engine::TrialResult> outcomes = engine::run_trial_fleet(
       trials, threads, seed,
@@ -113,7 +112,7 @@ smc::Certificate sweep_certified(const pp::Protocol& protocol,
                                  engine::EngineKind kind,
                                  const std::vector<pp::State>* noise_pool) {
   engine::TrialExecutor executor(
-      protocol, kind, options.dispatch, sched::Scenario{},
+      protocol, kind, {}, sched::Scenario{},
       engine::fleet_workers(options.batch, options.threads));
 
   // Unlike sweep_simulated the trial count is not known up front (the SPRT

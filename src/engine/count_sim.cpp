@@ -36,19 +36,11 @@ CountSimulator::CountSimulator(const pp::Protocol& protocol,
       counts_(protocol.num_states()),
       position_(protocol.num_states(), kNoPosition),
       last_fired_(protocol.num_states(), {kNoPosition, 0}),
-      active_(options.dispatch == isa::Dispatch::kBytecode
-                  ? 0
-                  : protocol.num_states()),
-      pair_counts_(options.null_skip ||
-                           options.dispatch == isa::Dispatch::kBytecode
-                       ? 0
-                       : protocol.num_states()),
       rng_(seed) {
   if (!protocol.finalized())
     throw std::logic_error("CountSimulator: protocol not finalized");
   if (index.num_states() != protocol.num_states())
     throw std::invalid_argument("CountSimulator: index/protocol mismatch");
-  bc_ = options.dispatch == isa::Dispatch::kBytecode;
   load(initial);
 }
 
@@ -74,8 +66,7 @@ void CountSimulator::load(const pp::Config& initial) {
     const pp::State q = populated_[slot];
     partner_sum_[slot] =
         matrix_ok_ ? build_matrix_row(slot) : fresh_partner_sum(q);
-    weight_push(counts_[q] * partner_sum_[slot]);
-    if (!options_.null_skip && !bc_) pair_counts_.push_back(counts_[q]);
+    push_weight(counts_[q] * partner_sum_[slot]);
   }
 }
 
@@ -87,13 +78,8 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
   populated_.clear();
   sorted_populated_.clear();
   partner_sum_.clear();
-  if (bc_) {
-    flat_weight_.clear();
-    flat_total_ = 0;
-  } else {
-    active_.clear();
-    if (!options_.null_skip) pair_counts_.clear();
-  }
+  weight_.clear();
+  weight_total_ = 0;
   cached_active_ = 0;  // sample_null_run never sees W == 0; forces recompute
   accepting_ = 0;
   interactions_ = 0;
@@ -121,7 +107,7 @@ void CountSimulator::refresh_weight(std::uint32_t slot) {
   // itself); the only transiently "negative" A belongs to a slot whose
   // count just hit zero, where the product is zero anyway.
   ++metrics_.weight_updates;
-  weight_set(slot, counts_[populated_[slot]] * partner_sum_[slot]);
+  set_weight(slot, counts_[populated_[slot]] * partner_sum_[slot]);
 }
 
 // The three null-skip helpers below are `inline` so the compiler folds
@@ -242,7 +228,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
   if (counts_[state] == 0) {
     // Swap-remove from the populated list (same list surgery as the seed
     // engine, so slot order — and with it every sampled index — evolves
-    // identically); the moved slot's tree entries travel with it.
+    // identically); the moved slot's weight travels with it.
     const std::uint32_t hole = position_[state];
     const auto last = static_cast<std::uint32_t>(populated_.size() - 1);
     const pp::State moved = populated_[last];
@@ -252,9 +238,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     position_[state] = kNoPosition;
     if (hole != last) {
       partner_sum_[hole] = partner_sum_[last];
-      weight_set(hole, weight_get(last));
-      if (!options_.null_skip && !bc_)
-        pair_counts_.set(hole, pair_counts_.get(last));
+      set_weight(hole, weight_[last]);
     }
     if (matrix_ok_) {
       // Relabel both mask families the same way: drop the removed slot's
@@ -279,8 +263,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
           sorted_populated_.begin(), sorted_populated_.end(), state));
     }
     partner_sum_.pop_back();
-    weight_pop();
-    if (!options_.null_skip && !bc_) pair_counts_.pop_back();
+    pop_weight();
   } else if (appearing) {
     const auto slot = static_cast<std::uint32_t>(populated_.size());
     position_[state] = slot;
@@ -294,12 +277,9 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     partner_sum_.push_back(matrix_ok_ ? build_matrix_row(slot)
                                       : fresh_partner_sum(state));
     ++metrics_.weight_updates;
-    weight_push(counts_[state] * partner_sum_[slot]);
-    if (!options_.null_skip && !bc_) pair_counts_.push_back(counts_[state]);
+    push_weight(counts_[state] * partner_sum_[slot]);
   } else {
     refresh_weight(position_[state]);
-    if (!options_.null_skip && !bc_)
-      pair_counts_.set(position_[state], counts_[state]);
   }
 }
 
@@ -311,7 +291,7 @@ void CountSimulator::shift_pair(pp::State from, pp::State to) {
   // nearly update-free: an initiator active towards both `from` and `to`
   // sees the two partner-sum shifts cancel exactly, leaving only the two
   // moved slots' own weights to refresh — and a register state with no
-  // partners of its own keeps weight 0, a no-op tree update.
+  // partners of its own keeps weight 0, a no-op weight update.
   if (matrix_ok_ && counts_[from] > 1 && position_[to] != kNoPosition) {
     counts_.remove(from, 1);
     counts_.add(to, 1);
@@ -332,36 +312,10 @@ void CountSimulator::shift_pair(pp::State from, pp::State to) {
     }
     refresh_weight(slot_from);
     refresh_weight(slot_to);
-    if (!options_.null_skip && !bc_) {
-      pair_counts_.set(slot_from, counts_[from]);
-      pair_counts_.set(slot_to, counts_[to]);
-    }
     return;
   }
   change_count(from, -1);
   change_count(to, +1);
-}
-
-void CountSimulator::fire(pp::State q, pp::State r) {
-  fire_candidates(q, r, protocol_->transitions_for(q, r));
-}
-
-void CountSimulator::fire_candidates(pp::State /*q*/, pp::State /*r*/,
-                                     std::span<const std::uint32_t> candidates) {
-  ++metrics_.firings;
-  if (candidates.empty()) {
-    // All-silent pair admitted by the any-candidate probe: consume the
-    // candidate draw the pick below would have and change nothing.
-    (void)rng_.below(0);
-    return;
-  }
-  const std::uint32_t pick =
-      candidates.size() == 1 ? candidates[0]
-                             : candidates[rng_.below(candidates.size())];
-  const pp::Transition& t = protocol_->transitions()[pick];
-  if (t.is_silent()) return;
-  if (t.q != t.q2) shift_pair(t.q, t.q2);
-  if (t.r != t.r2) shift_pair(t.r, t.r2);
 }
 
 void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
@@ -381,8 +335,8 @@ void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
                          shift_pair(r, r2);
                        },
                        [&] {
-                         // Same two shifts the interpreter issues for a
-                         // swap, preserving the list surgery order.
+                         // A swap moves one agent each way, in the order
+                         // the transition's (q, r) rewrite names them.
                          shift_pair(q, r);
                          shift_pair(r, q);
                        },
@@ -392,18 +346,10 @@ void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
 void CountSimulator::apply_active_meeting(std::uint64_t active) {
   const std::uint64_t target = rng_.below(active);
   ++metrics_.tree_descents;
-  std::uint64_t remaining = 0;
+  // The seed engine's linear prefix scan over the flat weights.
+  std::uint64_t remaining = target;
   std::size_t slot = 0;
-  if (bc_ || populated_.size() <= kLinearSlots) {
-    // Few slots (or bytecode dispatch, which scans flat weights at every
-    // size): the seed's linear prefix scan beats the tree descent's
-    // serial chain of dependent loads. Same slot either way (the tree's
-    // find() is defined as this scan's fixpoint).
-    remaining = target;
-    while (remaining >= weight_get(slot)) remaining -= weight_get(slot++);
-  } else {
-    slot = active_.find(target, &remaining);
-  }
+  while (remaining >= weight_[slot]) remaining -= weight_[slot++];
   const pp::State q = populated_[slot];
   const std::uint64_t cq = counts_[q];
   // The seed engine's responder walk visits q's partners in ascending
@@ -460,16 +406,12 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
   }
   auto& memo = last_fired_[q];
   if (memo.first != r) memo = {r, index_->compiled().entry_of(q, r)};
-  const std::uint32_t pos = memo.second;  // (q, r) is active
-  if (bc_)
-    fire_cells(q, r, pos);
-  else
-    fire_candidates(q, r, index_->pair_candidates(pos));
+  fire_cells(q, r, memo.second);  // (q, r) is active
 }
 
 bool CountSimulator::step() {
   if (!options_.null_skip) return step_meeting();
-  const std::uint64_t active = weight_total();
+  const std::uint64_t active = weight_total_;
   if (active == 0) {
     ++interactions_;
     ++metrics_.meetings;
@@ -495,70 +437,27 @@ bool CountSimulator::step_meeting() {
   // meeting is null by definition (and below(m−1) would be below(0)).
   if (m < 2) return false;
   // Initiator uniform over agents, responder uniform over the rest — the
-  // same ordered-distinct-pair law as pp::Simulator, on counts. With few
-  // populated slots the seed engine's linear prefix scans beat the tree's
-  // exclusion dance (two point updates bracketing the second descent);
-  // both select the identical slots, so the trajectory does not depend on
-  // which branch runs.
-  pp::State q;
-  pp::State r;
-  if (bc_ || populated_.size() <= kLinearSlots) {
-    // Descent parity with the interp tree path: the bytecode core scans
-    // at every size, but reports the same selection events.
-    if (bc_ && populated_.size() > kLinearSlots) metrics_.tree_descents += 2;
-    std::uint64_t i = rng_.below(m);
-    std::uint32_t slot = 0;
-    while (i >= counts_[populated_[slot]]) i -= counts_[populated_[slot++]];
-    q = populated_[slot];
-    std::uint64_t j = rng_.below(m - 1);
-    std::uint32_t responder_slot = 0;
-    for (;; ++responder_slot) {
-      const std::uint64_t weight = counts_[populated_[responder_slot]] -
-                                   (responder_slot == slot ? 1 : 0);
-      if (j < weight) break;
-      j -= weight;
-    }
-    r = populated_[responder_slot];
-  } else {
-    const std::uint64_t i = rng_.below(m);
-    ++metrics_.tree_descents;
-    std::uint64_t remaining = 0;
-    const std::size_t slot = pair_counts_.find(i, &remaining);
-    q = populated_[slot];
-    const std::uint64_t j = rng_.below(m - 1);
-    // Exclude the initiator by descending with q's slot count lowered by
-    // one — exactly the (candidate == q ? 1 : 0) correction the linear
-    // scan applied, so the selected responder slot is identical.
-    pair_counts_.set(slot, counts_[q] - 1);
-    ++metrics_.tree_descents;
-    const std::size_t responder_slot = pair_counts_.find(j, &remaining);
-    pair_counts_.set(slot, counts_[q]);
-    r = populated_[responder_slot];
+  // same ordered-distinct-pair law as pp::Simulator, on counts, selected
+  // with the seed engine's linear prefix scans.
+  if (populated_.size() > kLinearSlots) metrics_.tree_descents += 2;
+  std::uint64_t i = rng_.below(m);
+  std::uint32_t slot = 0;
+  while (i >= counts_[populated_[slot]]) i -= counts_[populated_[slot++]];
+  const pp::State q = populated_[slot];
+  std::uint64_t j = rng_.below(m - 1);
+  std::uint32_t responder_slot = 0;
+  for (;; ++responder_slot) {
+    const std::uint64_t weight = counts_[populated_[responder_slot]] -
+                                 (responder_slot == slot ? 1 : 0);
+    if (j < weight) break;
+    j -= weight;
   }
-  // Most meetings are null; reject them with a bitset probe instead of a
-  // transition-table hash when the index carries the any-candidate bits.
-  if (bc_) {
-    const std::uint32_t entry = index_->compiled().entry_of(q, r);
-    if (entry == isa::CompiledProtocol::kAbsent) return false;
-    if (entry == isa::CompiledProtocol::kSilentOnly) {
-      // Interp semantics, both branches: without any-bits the empty
-      // candidate span rejects the meeting as null; with any-bits the
-      // pair is admitted and fire consumes the candidate draw without
-      // changing anything.
-      if (!index_->has_any_bits()) return false;
-      ++metrics_.firings;
-      (void)rng_.below(0);
-      return true;
-    }
-    fire_cells(q, r, entry);
-    return true;
-  }
-  if (index_->has_any_bits()) {
-    if (!index_->pair_any(q, r)) return false;
-  } else if (protocol_->transitions_for(q, r).empty()) {
-    return false;
-  }
-  fire(q, r);
+  const pp::State r = populated_[responder_slot];
+  // A pair without active candidates — absent, or silent-only — is a null
+  // meeting: no firing and no candidate draw, as in pp::Simulator.
+  const std::uint32_t entry = index_->compiled().entry_of(q, r);
+  if (entry >= isa::CompiledProtocol::kSilentOnly) return false;
+  fire_cells(q, r, entry);
   return true;
 }
 
@@ -579,7 +478,7 @@ pp::SimulationResult CountSimulator::run_until_stable(
   };
   while (interactions_ < budget) {
     if (options_.null_skip) {
-      const std::uint64_t active = weight_total();
+      const std::uint64_t active = weight_total_;
       const std::uint64_t stable_at = consensus_start + options.stable_window;
       if (active == 0) {
         // Frozen (including any population of size < 2): every future

@@ -23,23 +23,23 @@
 //
 // The weights are maintained *incrementally*: each populated state q
 // carries its partner sum A(q) = Σ_{r : (q,r) active} C(r) − [(q,q)
-// active], and the per-slot weight C(q)·A(q) lives in a Fenwick tree
-// (engine/weight_tree.hpp), so a firing — which changes at most four
-// counts, each touching only the populated states adjacent to it — costs
-// O(#populated · log #populated) instead of a full rescan plus an
-// O(in-degree) adjacency walk per count change. Which populated states are
-// adjacent is kept in two 64-bit activity masks per slot (a row and a
-// column), so a count change and the responder walk iterate set bits only,
-// and a state entering or leaving the populated list costs one probe walk
-// or one in-place relabel. Sampling both meeting partners is an
-// O(log #populated) tree descent engineered to pick the
-// identical slot the seed engine's linear prefix scan picked, so the
-// sequence of *configurations*, firings and consensus times for a given
-// seed is bit-identical to the pre-Fenwick engine — and distributed
+// active], and the per-slot weight C(q)·A(q) lives in a flat array beside
+// its running total W, so a firing — which changes at most four counts,
+// each touching only the populated states adjacent to it — costs
+// O(#populated) instead of a full rescan plus an O(in-degree) adjacency
+// walk per count change. Which populated states are adjacent is kept in
+// two 64-bit activity masks per slot (a row and a column), so a count
+// change and the responder walk iterate set bits only, and a state
+// entering or leaving the populated list costs one probe walk or one
+// in-place relabel. Slots are selected by the seed engine's linear
+// prefix scans, so the sequence of *configurations*, firings and
+// consensus times for a given seed is bit-identical to the seed engine
+// (test_engine keeps it as the LinearScanOracle) — and distributed
 // identically to pp::Simulator's; only the interaction indices between
 // firings are resampled, from the same geometric law (evaluated in double
 // precision — the one approximation in the engine, and it never touches
-// the state evolution).
+// the state evolution). Firings execute the compiled opcode cells of
+// isa/exec.hpp.
 //
 // Populations of size < 2 have no ordered pairs: every meeting is vacuously
 // null, the simulator reports frozen() immediately, and run_until_stable
@@ -56,7 +56,6 @@
 #include <vector>
 
 #include "engine/metrics.hpp"
-#include "engine/weight_tree.hpp"
 #include "isa/compiled.hpp"
 #include "pp/config.hpp"
 #include "pp/protocol.hpp"
@@ -87,13 +86,9 @@ class PairIndex {
     return compiled_->partners_of(q);
   }
 
-  /// Candidate transitions of the active pair at dense *pair position*
-  /// `pos` = compiled().entry_of(q, r), in [0, num_active_pairs()) —
-  /// identical indices in identical order to Protocol::transitions_for.
-  std::span<const std::uint32_t> pair_candidates(std::uint32_t pos) const {
-    return compiled_->candidates(pos);
-  }
-  /// The pair's compiled cells, parallel to pair_candidates(pos).
+  /// Compiled cells of the active pair at dense *pair position* `pos` =
+  /// compiled().entry_of(q, r), in [0, num_active_pairs()) — one per
+  /// candidate of Protocol::transitions_for(q, r), in the same order.
   std::span<const isa::Cell> pair_cells(std::uint32_t pos) const {
     return compiled_->cells(pos);
   }
@@ -110,15 +105,6 @@ class PairIndex {
   bool pair_active(pp::State q, pp::State r) const {
     return compiled_->pair_active(q, r);
   }
-
-  /// True iff (q, r) has *any* candidate transition, silent ones included
-  /// — i.e. whether Protocol::transitions_for(q, r) is non-empty. Only
-  /// usable when the dense bitsets are built (num_states() <=
-  /// kBitsetStates); has_any_bits() says so.
-  bool pair_any(pp::State q, pp::State r) const {
-    return compiled_->pair_any(q, r);
-  }
-  bool has_any_bits() const { return compiled_->has_any_bits(); }
 
   std::size_t num_states() const { return compiled_->num_states(); }
   std::size_t num_active_pairs() const {
@@ -139,14 +125,6 @@ struct CountSimOptions {
   /// When false, every meeting costs one pair sample — still O(|Q|) memory,
   /// useful as the middle rung of the engine-comparison benchmarks.
   bool null_skip = true;
-  /// Execution core (S26). kBytecode fires through the compiled opcode
-  /// cells with computed-goto dispatch and keeps the per-slot active
-  /// weights in a flat array with a running total — selection uses the
-  /// seed engine's linear prefix scan at every size, which WeightTree::
-  /// find() is defined to agree with slot-for-slot, so trajectories,
-  /// consensus times and RunMetrics are bit-identical to kInterp (the
-  /// differential oracle) for every seed.
-  isa::Dispatch dispatch = isa::Dispatch::kBytecode;
 };
 
 /// Drop-in counterpart of pp::Simulator that never materialises agents.
@@ -199,7 +177,7 @@ class CountSimulator {
   /// total active-pair weight is zero — O(1), the weight is maintained
   /// incrementally). A frozen run's consensus — or lack of one — is
   /// permanent. Populations of size < 2 are always frozen.
-  bool frozen() const { return weight_total() == 0; }
+  bool frozen() const { return weight_total_ == 0; }
 
   /// Current configuration — O(1), unlike pp::Simulator::config().
   const pp::Config& config() const { return counts_; }
@@ -218,12 +196,12 @@ class CountSimulator {
                  std::uint64_t seed, CountSimOptions options);
 
   /// Load `initial` into an empty simulator: counts, populated list,
-  /// partner sums and both weight trees.
+  /// partner sums and weights.
   void load(const pp::Config& initial);
   /// A(q) = Σ_{r populated, (q,r) active} C(r) − [(q,q) active], computed
   /// from scratch over the cheaper of partners_of(q) / the populated list.
   std::uint64_t fresh_partner_sum(pp::State q) const;
-  /// Push slot's weight C(q)·A(q) into the active tree.
+  /// Store slot's weight C(q)·A(q) and move W with it.
   void refresh_weight(std::uint32_t slot);
   /// Memoise p = W/(m·(m−1)) and log1p(−p) for the current (W, m);
   /// returns true iff p < 1, i.e. a geometric draw is actually needed.
@@ -233,7 +211,7 @@ class CountSimulator {
   /// Account `count` meetings skipped without individual RNG draws.
   void advance_nulls(std::uint64_t count);
   /// Sample an active (q, r) by weight and fire a candidate. `active` must
-  /// be the current active_.total() (> 0).
+  /// be the current W (> 0).
   void apply_active_meeting(std::uint64_t active);
   /// One plain meeting: hypergeometric pair sample, fire if enabled.
   bool step_meeting();
@@ -247,55 +225,30 @@ class CountSimulator {
   /// computes all three. The slot must already be in the populated list;
   /// counts must be current.
   std::uint64_t build_matrix_row(std::uint32_t slot);
-  void fire(pp::State q, pp::State r);
-  void fire_candidates(pp::State q, pp::State r,
-                       std::span<const std::uint32_t> candidates);
-  /// Bytecode firing: pick a candidate of active pair `pos` (same RNG law
-  /// as fire_candidates) and execute its compiled cell.
+  /// Pick a candidate of active pair `pos` (a uniform draw when it has
+  /// several) and execute its compiled cell.
   void fire_cells(pp::State q, pp::State r, std::uint32_t pos);
-
-  /// Per-slot active weight C(q)·A(q) accessors, dispatch-split: the
-  /// bytecode core keeps a flat array + running total, the interpreter the
-  /// Fenwick tree. Values and update points are identical; the branch is
-  /// fixed for the simulator's lifetime and predicted perfectly.
-  std::uint64_t weight_total() const {
-    return bc_ ? flat_total_ : active_.total();
+  void set_weight(std::size_t slot, std::uint64_t w) {
+    weight_total_ += w - weight_[slot];
+    weight_[slot] = w;
   }
-  std::uint64_t weight_get(std::size_t slot) const {
-    return bc_ ? flat_weight_[slot] : active_.get(slot);
+  void push_weight(std::uint64_t w) {
+    weight_.push_back(w);
+    weight_total_ += w;
   }
-  void weight_set(std::size_t slot, std::uint64_t w) {
-    if (bc_) {
-      flat_total_ += w - flat_weight_[slot];
-      flat_weight_[slot] = w;
-    } else {
-      active_.set(slot, w);
-    }
-  }
-  void weight_push(std::uint64_t w) {
-    if (bc_) {
-      flat_weight_.push_back(w);
-      flat_total_ += w;
-    } else {
-      active_.push_back(w);
-    }
-  }
-  void weight_pop() {
-    if (bc_) {
-      flat_total_ -= flat_weight_.back();
-      flat_weight_.pop_back();
-    } else {
-      active_.pop_back();
-    }
+  void pop_weight() {
+    weight_total_ -= weight_.back();
+    weight_.pop_back();
   }
 
   static constexpr std::uint32_t kNoPosition = 0xffffffffu;
   /// Populated-list capacity of the activity masks; must stay <= 64 so a
   /// row or column fits one 64-bit word.
   static constexpr std::uint32_t kMatrixSlots = 64;
-  /// Populated-list size up to which the interp core selects slots — the
-  /// firing's initiator and step_meeting's meeting pair — with the seed
-  /// engine's linear prefix scans instead of a tree descent.
+  /// Populated-list size past which step_meeting counts its two partner
+  /// selections as tree_descents. Selection is a linear scan at every
+  /// size; the counter keeps the event count the earlier tree-descent
+  /// selection reported, so RunMetrics stay comparable with old records.
   static constexpr std::size_t kLinearSlots = 32;
 
   const pp::Protocol* protocol_;
@@ -316,21 +269,10 @@ class CountSimulator {
   std::vector<std::pair<pp::State, std::uint32_t>> last_fired_;
   /// partner_sum_[slot] = A(populated_[slot]); parallel to populated_.
   std::vector<std::uint64_t> partner_sum_;
-  /// Per-slot active weights C(q)·A(q); total() is W. Interp dispatch
-  /// only — the bytecode core uses flat_weight_/flat_total_ instead.
-  WeightTree active_;
-  /// Per-slot counts for step_meeting's pair sampling; only maintained
-  /// when null_skip is off (the null-skip path never samples by count)
-  /// and dispatch is interp (the bytecode core samples straight off
-  /// counts_ with the seed engine's linear scans at every size).
-  WeightTree pair_counts_;
-  /// Bytecode dispatch: flat per-slot active weights, parallel to
-  /// populated_, with the running total W. Same values at the same update
-  /// points as the interp tree; selection is a linear prefix scan, which
-  /// WeightTree::find() is defined to agree with slot-for-slot.
-  std::vector<std::uint64_t> flat_weight_;
-  std::uint64_t flat_total_ = 0;
-  bool bc_ = false;  ///< options_.dispatch == kBytecode, cached
+  /// Per-slot active weights C(q)·A(q), parallel to populated_, and their
+  /// running total W. Selection is a linear prefix scan over them.
+  std::vector<std::uint64_t> weight_;
+  std::uint64_t weight_total_ = 0;
   /// Slot-indexed activity masks over the populated list, two words per
   /// slot. col_mask_[j]: bit i set iff (populated_[i], populated_[j]) is
   /// active — the initiator slots watching populated_[j]. A count change

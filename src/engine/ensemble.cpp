@@ -195,11 +195,11 @@ EnsembleStats run_ensemble(const pp::Protocol& protocol,
       obs::Registry::global().gauge("engine.trials_total");
   trials_total.set(static_cast<double>(options.trials));
   const auto start_time = std::chrono::steady_clock::now();
-  // The shared trial body (S27): engine/dispatch/scenario selection and
+  // The shared trial body (S27): engine/scenario selection and
   // per-worker simulator reuse live in TrialExecutor, the same body
   // smc::certify and the serve workers run.
   const unsigned workers = fleet_workers(options.trials, options.threads);
-  TrialExecutor executor(protocol, options.engine, options.dispatch,
+  TrialExecutor executor(protocol, options.engine, {},
                          options.scenario, workers);
   const std::vector<TrialResult> results = run_trial_fleet(
       options.trials, options.threads, options.master_seed,

@@ -84,10 +84,7 @@ struct EnsembleOptions {
   unsigned threads = 0;
   std::uint64_t master_seed = 1;
   EngineKind engine = EngineKind::kCountNullSkip;
-  /// Execution core (S26): compiled-bytecode dispatch (default) or the
-  /// legacy interpreter. Trajectories and all aggregates are bit-identical
-  /// either way; the oracle tests pin that.
-  isa::Dispatch dispatch = isa::Dispatch::kBytecode;
+  isa::Dispatch dispatch{};  // ignored; kept only because perfbench/ passes it
   /// Stress scenario (S27). The default (uniform scheduler, no faults)
   /// keeps the count engines' fast paths and their exact pre-S27 RNG
   /// streams; any other scenario falls back to the per-agent simulator

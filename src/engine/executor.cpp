@@ -3,11 +3,10 @@
 namespace ppde::engine {
 
 TrialExecutor::TrialExecutor(const pp::Protocol& protocol, EngineKind kind,
-                             isa::Dispatch dispatch,
+                             isa::Dispatch,
                              const sched::Scenario& scenario, unsigned workers,
                              std::uint32_t)
     : protocol_(protocol),
-      dispatch_(dispatch),
       scenario_(scenario),
       per_agent_(kind == EngineKind::kPerAgent || !scenario.is_default()),
       sims_(workers) {
@@ -16,7 +15,6 @@ TrialExecutor::TrialExecutor(const pp::Protocol& protocol, EngineKind kind,
     // after construction, so safe across the pool.
     index_.emplace(protocol);
     sim_options_.null_skip = kind == EngineKind::kCountNullSkip;
-    sim_options_.dispatch = dispatch;
   }
 }
 
@@ -26,7 +24,7 @@ TrialResult TrialExecutor::run(unsigned worker, const pp::Config& initial,
   TrialResult trial;
   trial.seed = seed;
   if (per_agent_) {
-    pp::Simulator simulator(protocol_, initial, scenario_, seed, dispatch_);
+    pp::Simulator simulator(protocol_, initial, scenario_, seed);
     trial.sim = simulator.run_until_stable(options);
     trial.metrics = simulator.metrics();
   } else {

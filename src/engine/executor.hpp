@@ -6,10 +6,9 @@
 // simulator, reuse one count simulator per worker, run until stable.
 // TrialExecutor is that body, written once — and the single place where
 // the S27 scenario fallback rule lives: the count-based engines keep
-// their flat-weight/Fenwick fast paths for the default scenario, while
-// any non-default scenario (graph topology, biased weighting, faults —
-// all of which need agent identity) falls back to the per-agent
-// pp::Simulator, under either dispatch core.
+// their flat-weight fast paths for the default scenario, while any
+// non-default scenario (graph topology, biased weighting, faults — all of
+// which need agent identity) falls back to the per-agent pp::Simulator.
 #pragma once
 
 #include <memory>
@@ -27,7 +26,8 @@ class TrialExecutor {
   /// `protocol` must outlive the executor. `workers` is the fleet's worker
   /// count (fleet_workers) — one reusable CountSimulator slot each.
   TrialExecutor(const pp::Protocol& protocol, EngineKind kind,
-                isa::Dispatch dispatch, const sched::Scenario& scenario,
+                // ignored; kept only because perfbench/ passes it
+                isa::Dispatch, const sched::Scenario& scenario,
                 unsigned workers,
                 // ignored; kept only because perfbench/ passes it
                 std::uint32_t = 0);
@@ -45,7 +45,6 @@ class TrialExecutor {
 
  private:
   const pp::Protocol& protocol_;
-  isa::Dispatch dispatch_;
   sched::Scenario scenario_;
   bool per_agent_;
   std::optional<PairIndex> index_;

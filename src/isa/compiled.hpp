@@ -27,7 +27,8 @@
 // Lowering is pure table construction: candidate order equals
 // Protocol::finalize()'s transition order, so a simulator picking
 // candidates through the compiled tables consumes its RNG identically to
-// one walking the legacy map — the bit-identicality contract (DESIGN.md S26).
+// one walking Protocol::transitions_for — the map interpreter the tests
+// keep as the oracle of the bit-identicality contract (DESIGN.md S26).
 //
 // The tables can be exported (raw()) and re-adopted (adopt()); adopt()
 // validates every invariant and throws std::invalid_argument on malformed
@@ -38,22 +39,15 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "pp/protocol.hpp"
 
 namespace ppde::isa {
 
-/// Which execution core a simulator/verifier runs: the legacy interpreter
-/// (kept in-tree as the differential oracle) or the compiled-bytecode
-/// dispatch core. Both produce bit-identical trajectories, node IDs and
-/// certificate digests; bytecode is the default everywhere.
-enum class Dispatch : std::uint8_t { kInterp = 0, kBytecode = 1 };
-
-const char* to_string(Dispatch dispatch);
-/// Parses "interp" / "bytecode"; throws std::invalid_argument otherwise.
-Dispatch parse_dispatch(const std::string& text);
+/// Names the one execution core — these tables, run by isa/exec.hpp.
+// ignored; kept only because perfbench/ passes it
+enum class Dispatch : std::uint8_t { kBytecode };
 
 /// Opcodes of a candidate cell. The opcode classifies which side(s) of the
 /// pair a firing rewrites, so an executor touches only the slots that
@@ -201,13 +195,6 @@ class CompiledProtocol {
     const auto partners = partners_of(q);
     return std::binary_search(partners.begin(), partners.end(), r);
   }
-  /// True iff (q, r) has *any* candidate, silent ones included. Only
-  /// usable when has_any_bits(); otherwise probe entry_of directly.
-  bool pair_any(pp::State q, pp::State r) const {
-    const std::size_t bit = static_cast<std::size_t>(q) * t_.num_states + r;
-    return (t_.any_bits[bit >> 6] >> (bit & 63)) & 1;
-  }
-  bool has_any_bits() const { return !t_.any_bits.empty(); }
 
   /// splitmix64 finalizer — the hash behind both perfect-hash levels.
   static std::uint64_t mix(std::uint64_t x) {

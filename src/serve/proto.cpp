@@ -228,7 +228,6 @@ std::string encode_query(const QueryParams& query) {
   json.field("window", query.window);
   json.field("budget", query.budget);
   json.field("shard", query.shard);
-  json.field("dispatch", std::string_view(query.dispatch));
   if (!query.scenario.empty())
     json.field("scenario", std::string_view(query.scenario));
   if (!query.format.empty())
@@ -253,7 +252,6 @@ QueryParams parse_query(const Json& json) {
   query.window = json.u64("window", query.window);
   query.budget = json.u64("budget", query.budget);
   query.shard = json.u64("shard", 0);
-  query.dispatch = json.str("dispatch", query.dispatch);
   query.scenario = json.str("scenario", "");
   query.format = json.str("format", "");
   query.recent = json.u64("recent", 0);
@@ -270,7 +268,6 @@ smc::CertifyOptions certify_options_of(const QueryParams& query) {
   options.seed = query.seed;
   options.sim.stable_window = query.window;
   options.sim.max_interactions = query.budget;
-  options.dispatch = isa::parse_dispatch(query.dispatch);
   // Throws std::invalid_argument on a malformed descriptor — callers
   // reject the query at admission (handle_connection) before any work.
   if (!query.scenario.empty())
@@ -299,7 +296,6 @@ std::string encode_batch_request(const BatchRequest& request) {
   json.field("count", request.count);
   json.field("window", request.window);
   json.field("budget", request.budget);
-  json.field("dispatch", std::string_view(request.dispatch));
   if (!request.scenario.empty())
     json.field("scenario", std::string_view(request.scenario));
   if (request.trace_id != 0) json.field("trace_id", request.trace_id);
@@ -319,7 +315,6 @@ BatchRequest parse_batch_request(const Json& json) {
   request.count = json.u64("count", 0);
   request.window = json.u64("window", 90'000'000);
   request.budget = json.u64("budget", 2'000'000'000);
-  request.dispatch = json.str("dispatch", request.dispatch);
   request.scenario = json.str("scenario", "");
   request.trace_id = json.u64("trace_id", 0);
   return request;

@@ -17,8 +17,9 @@
 // coordinator's canonical fold (smc/partial.hpp) sees exactly what an
 // in-process fold would.
 //
-// Parsers ignore fields they do not know. A "batch" width sent by older
-// clients and daemons is dropped that way: it never changed a record.
+// Parsers ignore fields they do not know. A "batch" width or a "dispatch"
+// core sent by older clients and daemons is dropped that way: neither
+// ever changed a record.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +57,6 @@ struct QueryParams {
   std::uint64_t window = 90'000'000;
   std::uint64_t budget = 2'000'000'000;
   std::uint64_t shard = 0;
-  /// Execution core (S26): "bytecode" or "interp". A query omitting the
-  /// field means bytecode, like the CLI omitting --dispatch; results are
-  /// bit-identical either way.
-  std::string dispatch = "bytecode";
   /// Stress scenario descriptor (S27), e.g. "ring+corrupt:0.001". Empty
   /// means the default scenario (uniform scheduler, no faults) and — like
   /// the digest-scoping rule it mirrors — is omitted from the encoded
@@ -98,7 +95,6 @@ struct BatchRequest {
   std::uint64_t count = 0;
   std::uint64_t window = 0;
   std::uint64_t budget = 0;
-  std::string dispatch = "bytecode";  ///< execution core, forwarded verbatim
   /// Scenario descriptor, forwarded verbatim ("" = default, field omitted
   /// on the wire — workers predating S27 only ever see default batches).
   std::string scenario{};

@@ -434,7 +434,7 @@ struct Server::Impl {
         .prototype =
             BatchRequest{/*ensemble=*/false, query.n, query.extra, expected,
                          query.seed, 0, 0, query.window, query.budget,
-                         query.dispatch, query.scenario,
+                         query.scenario,
                          /*trace_id=*/obs::Tracer::active() != nullptr
                              ? record.seq
                              : 0},
@@ -501,7 +501,7 @@ struct Server::Impl {
         .prototype =
             BatchRequest{/*ensemble=*/true, query.n, query.extra,
                          /*expected=*/false, query.seed, 0, 0, query.window,
-                         query.budget, query.dispatch, query.scenario,
+                         query.budget, query.scenario,
                          /*trace_id=*/obs::Tracer::active() != nullptr
                              ? record.seq
                              : 0},

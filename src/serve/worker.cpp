@@ -18,7 +18,6 @@
 #include "engine/count_sim.hpp"
 #include "engine/ensemble.hpp"
 #include "engine/executor.hpp"
-#include "isa/compiled.hpp"
 #include "obs/registry.hpp"
 #include "obs/rollup.hpp"
 #include "obs/trace.hpp"
@@ -61,7 +60,6 @@ BatchResult run_certify_batch(const BatchRequest& request) {
   options.seed = request.seed;
   options.sim.stable_window = request.window;
   options.sim.max_interactions = request.budget;
-  options.dispatch = isa::parse_dispatch(request.dispatch);
   if (!request.scenario.empty())
     options.scenario = sched::Scenario::parse(request.scenario);
   // threads = 1: a worker process is single-threaded by design — the
@@ -93,8 +91,8 @@ BatchResult run_ensemble_batch(const BatchRequest& request) {
   if (!request.scenario.empty())
     scenario = sched::Scenario::parse(request.scenario);
   engine::TrialExecutor executor(
-      cached.conversion.protocol, engine::EngineKind::kCountNullSkip,
-      isa::parse_dispatch(request.dispatch), scenario, /*workers=*/1);
+      cached.conversion.protocol, engine::EngineKind::kCountNullSkip, {},
+      scenario, /*workers=*/1);
   const std::vector<engine::TrialResult> trials = engine::run_trial_range(
       request.first, request.count, /*threads=*/1, request.seed,
       [&](unsigned worker, std::uint64_t, std::uint64_t seed) {

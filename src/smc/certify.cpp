@@ -114,7 +114,7 @@ Certificate certify_trials(const TrialFn& body,
 namespace {
 
 /// The per-trial workload certify() folds, reusable by shard range runs.
-/// Engine/dispatch/scenario selection and per-worker simulator reuse live
+/// Engine/scenario selection and per-worker simulator reuse live
 /// in engine::TrialExecutor (S27) — the same body run_ensemble and the
 /// serve workers run; this class only maps the run to a TrialOutcome
 /// against the expected output.
@@ -126,8 +126,7 @@ class TrialRunner {
       : initial_(initial),
         expected_output_(expected_output),
         options_(options),
-        executor_(protocol, options.engine, options.dispatch,
-                  options.scenario, workers) {}
+        executor_(protocol, options.engine, {}, options.scenario, workers) {}
 
   TrialOutcome run(unsigned worker, std::uint64_t seed) {
     return outcome_of(executor_.run(worker, initial_, seed, options_.sim));

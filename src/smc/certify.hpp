@@ -69,9 +69,7 @@ struct CertifyOptions {
   unsigned threads = 0;  ///< 0 = hardware concurrency
   std::uint64_t seed = 1;
   engine::EngineKind engine = engine::EngineKind::kCountNullSkip;
-  /// Execution core (S26). Certificates and digests are bit-identical
-  /// across dispatch modes (and thread counts) for a given seed.
-  isa::Dispatch dispatch = isa::Dispatch::kBytecode;
+  isa::Dispatch dispatch{};  // ignored; kept only because perfbench/ passes it
   /// Stress scenario (S27): scheduler strategy + fault plan each trial
   /// runs under. Part of the certified statement — a non-default scenario
   /// is folded into the certificate payload (and hence the digest), so a

@@ -22,7 +22,6 @@
 #include "engine/ensemble.hpp"
 #include "engine/executor.hpp"
 #include "engine/pool.hpp"
-#include "engine/weight_tree.hpp"
 #include "pp/simulator.hpp"
 #include "support/rng.hpp"
 
@@ -108,9 +107,10 @@ double chi_squared(const std::vector<double>& a,
   return statistic;
 }
 
-// Verbatim reimplementation of the pre-Fenwick engine's stepping loop —
-// full active-weight rescan per step, linear prefix scans for both meeting
-// partners, responder walk over the initiator's complete partner list —
+// Verbatim reimplementation of the seed engine's stepping loop — full
+// active-weight rescan per step, linear prefix scans for both meeting
+// partners, responder walk over the initiator's complete partner list,
+// transitions picked off Protocol::transitions_for (the map interpreter) —
 // kept here as the oracle for the bit-identicality contract (DESIGN.md
 // S21): for the same seed, CountSimulator must visit the same
 // configuration sequence, fire the same transitions, and settle the same
@@ -355,8 +355,8 @@ class LinearScanOracle {
 // A 40-state "carousel" (every meeting advances the responder one state):
 // all 1600 ordered pairs are active and the populated list fluctuates
 // around 40 slots — past kLinearSlots and kMatrixSlots/2 — so the engine's
-// tree-descent branches and swap-remove surgery all run, not just the
-// small-population linear branches.
+// wide-population counting and swap-remove surgery all run, not just the
+// small-population paths.
 pp::Protocol make_carousel_protocol(std::uint32_t n) {
   pp::Protocol protocol;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -378,6 +378,44 @@ std::size_t populated_states(const pp::Config& config) {
   return static_cast<std::size_t>(
       std::count_if(config.counts().begin(), config.counts().end(),
                     [](std::uint32_t c) { return c != 0; }));
+}
+
+/// Ring protocol over `n` states: (i, i) -> (i, i+1 mod n). From a uniform
+/// start every state is populated, so with n > 64 the populated list never
+/// fits the activity masks; at 600 states the compiler also picks the
+/// perfect-hash pair lookup over the dense table.
+pp::Protocol make_ring(std::uint32_t n) {
+  pp::Protocol protocol;
+  for (std::uint32_t i = 0; i < n; ++i)
+    protocol.add_state("s" + std::to_string(i));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    protocol.mark_input(i);
+    if (i % 2 == 0) protocol.mark_accepting(i);
+    protocol.add_transition(i, i, i, (i + 1) % n);
+  }
+  protocol.finalize();
+  return protocol;
+}
+
+pp::Config uniform_initial(const pp::Protocol& protocol, std::uint32_t per) {
+  pp::Config config(protocol.num_states());
+  for (pp::State q = 0; q < protocol.num_states(); ++q) config.add(q, per);
+  return config;
+}
+
+/// (a, b) has only the identity transition, (b, a) a real one: the
+/// silent-only meeting must be null — no firing, no candidate draw.
+pp::Protocol make_silent_pair_protocol() {
+  pp::Protocol protocol;
+  const pp::State a = protocol.add_state("a");
+  const pp::State b = protocol.add_state("b");
+  protocol.mark_input(a);
+  protocol.mark_input(b);
+  protocol.mark_accepting(a);
+  protocol.add_transition(a, b, a, b);  // silent
+  protocol.add_transition(b, a, a, a);
+  protocol.finalize();
+  return protocol;
 }
 
 /// A 120-state carousel with three agents on each of states 0..59: the
@@ -684,17 +722,20 @@ TEST(Ensemble, FleetRethrowsBodyExceptions) {
 
 TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   // The tentpole contract: same seed, same trajectory, bit for bit — the
-  // Fenwick/mask machinery may only change how fast the next firing is
-  // found, never which firing it is. The protocols cover the regimes:
-  // tiny two-state, the 4-state majority, the converted Czerner n = 1
-  // (≈880 states, ~24 populated, heavy populate/depopulate churn), the
-  // same conversion at |F| + 2 agents (the certify statement, where almost
-  // every firing populates or depopulates a state), a 40-state carousel
-  // that pushes past the linear-scan thresholds, and a 120-state carousel
-  // whose populated list outgrows the 64 activity-mask slots mid-run. Every
-  // case runs under both dispatch cores.
+  // flat-weight/mask machinery may only change how fast the next firing
+  // is found, never which firing it is. The protocols cover the regimes:
+  // tiny two-state, the 4-state majority (a small and a 980-agent
+  // population), flock k = 3, the converted Czerner n = 1 (≈880 states,
+  // ~24 populated, heavy populate/depopulate churn) at +400, +6 and |F| + 2
+  // agents (the certify statement, where almost every firing populates or
+  // depopulates a state), a 40-state carousel that pushes past
+  // kLinearSlots, a 120-state carousel whose populated list outgrows the
+  // 64 activity-mask slots mid-run, rings of 100 and 600 states that start
+  // past the masks (the 600-state ring on the perfect-hash pair lookup),
+  // and a protocol with a silent-only pair.
   const pp::Protocol opinion = make_opinion_protocol();
   const pp::Protocol majority = baselines::make_majority();
+  const pp::Protocol flock = baselines::make_flock_of_birds(3);
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
@@ -702,6 +743,13 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   pp::Config carousel_initial(carousel.num_states());
   for (pp::State q = 0; q < 40; ++q) carousel_initial.add(q, 3);
   const pp::Protocol wide_carousel = make_carousel_protocol(120);
+  const pp::Protocol small_ring = make_ring(100);
+  const pp::Protocol big_ring = make_ring(600);
+  ASSERT_TRUE(big_ring.compiled().raw().dense.empty());
+  const pp::Protocol silent_pair = make_silent_pair_protocol();
+  pp::Config silent_initial(silent_pair.num_states());
+  silent_initial.add(silent_pair.state("a"), 5);
+  silent_initial.add(silent_pair.state("b"), 5);
 
   struct Case {
     const pp::Protocol* protocol;
@@ -712,47 +760,54 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   const Case cases[] = {
       {&opinion, opinion_initial(opinion, 5, 4), 4'000, false},
       {&majority, baselines::majority_initial(majority, 23, 20), 4'000, false},
+      {&majority, baselines::majority_initial(majority, 500, 480), 50'000,
+       false},
+      {&flock, baselines::flock_initial(flock, 60), 50'000, false},
       {&conv.protocol, conv.initial_config(conv.num_pointers + 400), 12'000,
+       false},
+      {&conv.protocol, conv.initial_config(conv.num_pointers + 6), 50'000,
        false},
       {&conv.protocol, conv.initial_config(conv.num_pointers + 2), 12'000,
        false},
       {&carousel, carousel_initial, 12'000, false},
       {&wide_carousel, spreading_carousel_initial(wide_carousel), 3'000, true},
+      {&small_ring, uniform_initial(small_ring, 3), 30'000, false},
+      {&big_ring, uniform_initial(big_ring, 2), 10'000, false},
+      {&silent_pair, silent_initial, 2'000, false},
   };
   for (const Case& test_case : cases) {
-    for (const isa::Dispatch dispatch :
-         {isa::Dispatch::kBytecode, isa::Dispatch::kInterp}) {
-      for (const bool null_skip : {true, false}) {
-        for (const std::uint64_t seed : {1ull, 29ull}) {
-          CountSimOptions options;
-          options.null_skip = null_skip;
-          options.dispatch = dispatch;
-          CountSimulator sim(*test_case.protocol, test_case.initial, seed,
-                             options);
-          LinearScanOracle oracle(*test_case.protocol, test_case.initial,
-                                  seed, null_skip);
+    for (const bool null_skip : {true, false}) {
+      for (const std::uint64_t seed : {1ull, 29ull}) {
+        CountSimOptions options;
+        options.null_skip = null_skip;
+        CountSimulator sim(*test_case.protocol, test_case.initial, seed,
+                           options);
+        LinearScanOracle oracle(*test_case.protocol, test_case.initial, seed,
+                                null_skip);
+        if (test_case.crosses_mask_capacity) {
           ASSERT_LE(populated_states(sim.config()), 64u);
-          std::size_t widest = 0;
-          const auto where = [&](int step) {
-            return "step " + std::to_string(step) +
-                   " skip=" + std::to_string(null_skip) +
-                   " dispatch=" + std::to_string(static_cast<int>(dispatch));
-          };
-          for (int step = 0; step < test_case.steps; ++step) {
-            sim.step();
-            oracle.step();
-            ASSERT_EQ(sim.interactions(), oracle.interactions()) << where(step);
-            ASSERT_EQ(sim.metrics().firings, oracle.firings()) << where(step);
-            if (test_case.crosses_mask_capacity)
-              widest = std::max(widest, populated_states(sim.config()));
-            if (step % 64 == 0 || step + 1 == test_case.steps) {
-              ASSERT_EQ(sim.config(), oracle.config()) << where(step);
-            }
+        }
+        std::size_t widest = 0;
+        const auto where = [&](int step) {
+          return "states=" + std::to_string(test_case.protocol->num_states()) +
+                 " step " + std::to_string(step) +
+                 " skip=" + std::to_string(null_skip) +
+                 " seed=" + std::to_string(seed);
+        };
+        for (int step = 0; step < test_case.steps; ++step) {
+          sim.step();
+          oracle.step();
+          ASSERT_EQ(sim.interactions(), oracle.interactions()) << where(step);
+          ASSERT_EQ(sim.metrics().firings, oracle.firings()) << where(step);
+          if (test_case.crosses_mask_capacity)
+            widest = std::max(widest, populated_states(sim.config()));
+          if (step % 64 == 0 || step + 1 == test_case.steps) {
+            ASSERT_EQ(sim.config(), oracle.config()) << where(step);
           }
-          ASSERT_EQ(sim.metrics().meetings, oracle.meetings());
-          if (test_case.crosses_mask_capacity) {
-            EXPECT_GT(widest, 64u) << "the run never left the mask path";
-          }
+        }
+        ASSERT_EQ(sim.metrics().meetings, oracle.meetings());
+        if (test_case.crosses_mask_capacity) {
+          EXPECT_GT(widest, 64u) << "the run never left the mask path";
         }
       }
     }
@@ -794,50 +849,6 @@ TEST(CountSimulator, RunUntilStableMatchesOracle) {
         ASSERT_EQ(ours.consensus_since, reference.consensus_since) << seed;
         ASSERT_EQ(sim.config(), oracle.config()) << seed;
       }
-    }
-  }
-}
-
-TEST(WeightTree, MatchesLinearReference) {
-  // Randomised differential against a plain vector: push/pop/set in any
-  // order, and find() must select exactly the slot the linear prefix scan
-  // selects — zero-weight slots (including runs of them) never absorb a
-  // target, and `remaining` is the scan's leftover offset.
-  support::Rng rng(2024);
-  WeightTree tree(64);
-  std::vector<std::uint64_t> reference;
-  for (int op = 0; op < 4'000; ++op) {
-    const std::uint64_t choice = rng.below(10);
-    if (choice < 3 && reference.size() < 64) {
-      const std::uint64_t value = rng.below(5);  // zeros are common
-      tree.push_back(value);
-      reference.push_back(value);
-    } else if (choice < 4 && !reference.empty()) {
-      tree.pop_back();
-      reference.pop_back();
-    } else if (!reference.empty()) {
-      const auto slot = static_cast<std::size_t>(rng.below(reference.size()));
-      const std::uint64_t value = rng.below(7);
-      tree.set(slot, value);
-      reference[slot] = value;
-    }
-    ASSERT_EQ(tree.size(), reference.size());
-    std::uint64_t total = 0;
-    for (std::uint64_t w : reference) total += w;
-    ASSERT_EQ(tree.total(), total);
-    if (total == 0) continue;
-    // Probe a handful of targets, always including both boundaries.
-    for (const std::uint64_t target :
-         {std::uint64_t{0}, total - 1, rng.below(total), rng.below(total)}) {
-      std::size_t expected_slot = 0;
-      std::uint64_t expected_remaining = target;
-      while (expected_remaining >= reference[expected_slot])
-        expected_remaining -= reference[expected_slot++];
-      std::uint64_t remaining = 0;
-      const std::size_t slot = tree.find(target, &remaining);
-      ASSERT_EQ(slot, expected_slot) << "target " << target;
-      ASSERT_EQ(remaining, expected_remaining) << "target " << target;
-      ASSERT_GT(reference[slot], remaining);  // never a zero-weight slot
     }
   }
 }
@@ -940,30 +951,24 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
   const pp::Protocol carousel = make_carousel_protocol(120);
   pp::Config narrow(carousel.num_states());
   for (pp::State q = 0; q < 10; ++q) narrow.add(q, 3);
-  for (const isa::Dispatch dispatch :
-       {isa::Dispatch::kBytecode, isa::Dispatch::kInterp}) {
-    CountSimOptions options;
-    options.dispatch = dispatch;
-    CountSimulator fresh(carousel, narrow, 77, options);
-    CountSimulator reused(carousel, spreading_carousel_initial(carousel), 5,
-                          options);
-    int steps = 0;
-    while (populated_states(reused.config()) <= 64 && steps < 10'000) {
-      reused.step();
-      ++steps;
-    }
-    ASSERT_GT(populated_states(reused.config()), 64u);
-    reused.reset(narrow, 77);
-    for (int step = 0; step < 2'000; ++step) {
-      fresh.step();
-      reused.step();
-    }
-    EXPECT_EQ(fresh.config(), reused.config());
-    EXPECT_EQ(fresh.interactions(), reused.interactions());
-    EXPECT_EQ(fresh.metrics().firings, reused.metrics().firings);
-    EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
-    EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
+  CountSimulator fresh(carousel, narrow, 77);
+  CountSimulator reused(carousel, spreading_carousel_initial(carousel), 5);
+  int steps = 0;
+  while (populated_states(reused.config()) <= 64 && steps < 10'000) {
+    reused.step();
+    ++steps;
   }
+  ASSERT_GT(populated_states(reused.config()), 64u);
+  reused.reset(narrow, 77);
+  for (int step = 0; step < 2'000; ++step) {
+    fresh.step();
+    reused.step();
+  }
+  EXPECT_EQ(fresh.config(), reused.config());
+  EXPECT_EQ(fresh.interactions(), reused.interactions());
+  EXPECT_EQ(fresh.metrics().firings, reused.metrics().firings);
+  EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
+  EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
 }
 
 TEST(CountSimulator, MetricsObserveTheIncrementalPath) {

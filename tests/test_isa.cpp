@@ -1,8 +1,10 @@
 // Tests for the bytecode execution core (DESIGN.md S26): lowering
 // round-trips through raw()/adopt(), malformed tables are rejected, and —
-// the load-bearing property — the bytecode and interpreter dispatch modes
-// produce bit-identical trajectories, metrics, verification graphs and
-// certificate digests on every protocol in the zoo.
+// the load-bearing property — pp::Simulator stepping through the compiled
+// cells produces bit-identical trajectories and metrics to the map
+// interpreter kept here as its oracle. The count engine's oracle is
+// test_engine's LinearScanOracle; the verifier's is test_verify's
+// VerifierOracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,17 +20,15 @@
 #include "czerner/construction.hpp"
 #include "engine/count_sim.hpp"
 #include "isa/compiled.hpp"
-#include "machine/interp.hpp"
 #include "pp/simulator.hpp"
-#include "pp/verifier.hpp"
 #include "smc/certify.hpp"
 #include "smc/json.hpp"
+#include "support/rng.hpp"
 
 namespace ppde {
 namespace {
 
 using isa::CompiledProtocol;
-using isa::Dispatch;
 
 // ---------------------------------------------------------------------------
 // Zoo.
@@ -38,11 +38,8 @@ pp::Protocol czerner_protocol(int n) {
   return compile::machine_to_protocol(lowered.machine).protocol;
 }
 
-/// Ring protocol over `n` states: (i, i) -> (i, i+1 mod n). Every state is
-/// populated from a uniform start, so with n > 64 the count engine's
-/// matrix fast path cannot hold the populated set and the general path
-/// runs; with n large enough the compiler also picks the perfect-hash
-/// lookup over the dense table.
+/// Ring protocol over `n` states: (i, i) -> (i, i+1 mod n). With n large
+/// enough the compiler picks the perfect-hash lookup over the dense table.
 pp::Protocol make_ring(std::uint32_t n) {
   pp::Protocol protocol;
   for (std::uint32_t i = 0; i < n; ++i)
@@ -54,38 +51,6 @@ pp::Protocol make_ring(std::uint32_t n) {
   }
   protocol.finalize();
   return protocol;
-}
-
-pp::Config uniform_initial(const pp::Protocol& protocol, std::uint32_t per) {
-  pp::Config config(protocol.num_states());
-  for (pp::State q = 0; q < protocol.num_states(); ++q) config.add(q, per);
-  return config;
-}
-
-void expect_metrics_equal(const engine::RunMetrics& a,
-                          const engine::RunMetrics& b) {
-  EXPECT_EQ(a.meetings, b.meetings);
-  EXPECT_EQ(a.firings, b.firings);
-  EXPECT_EQ(a.null_skip_batches, b.null_skip_batches);
-  EXPECT_EQ(a.skipped_meetings, b.skipped_meetings);
-  EXPECT_EQ(a.consensus_flips, b.consensus_flips);
-  EXPECT_EQ(a.weight_updates, b.weight_updates);
-  EXPECT_EQ(a.tree_descents, b.tree_descents);
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch plumbing.
-
-TEST(Dispatch, ToStringParseRoundTrip) {
-  EXPECT_STREQ(isa::to_string(Dispatch::kInterp), "interp");
-  EXPECT_STREQ(isa::to_string(Dispatch::kBytecode), "bytecode");
-  EXPECT_EQ(isa::parse_dispatch("interp"), Dispatch::kInterp);
-  EXPECT_EQ(isa::parse_dispatch("bytecode"), Dispatch::kBytecode);
-}
-
-TEST(Dispatch, ParseRejectsUnknown) {
-  EXPECT_THROW((void)isa::parse_dispatch("fast"), std::invalid_argument);
-  EXPECT_THROW((void)isa::parse_dispatch(""), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,22 +202,87 @@ TEST(CompiledProtocol, AdoptRejectsMalformedTables) {
   }
 }
 
+
 // ---------------------------------------------------------------------------
-// Differential: per-agent simulator.
+// Differential: per-agent simulator against the map interpreter.
+
+/// The uniform per-agent stepper as it stood before the compiled cells:
+/// same ordered-distinct-pair draw as pp::Simulator, then a uniform pick
+/// among Protocol::transitions_for(q, r) and a per-slot accepting retag.
+/// pp::Simulator must match it RNG draw for RNG draw.
+class MapInterpreter {
+ public:
+  MapInterpreter(const pp::Protocol& protocol, const pp::Config& initial,
+                 std::uint64_t seed)
+      : protocol_(protocol), rng_(seed) {
+    for (pp::State q = 0; q < initial.num_states(); ++q)
+      for (std::uint32_t i = 0; i < initial[q]; ++i) agents_.push_back(q);
+    for (pp::State q : agents_)
+      if (protocol.is_accepting(q)) ++accepting_agents_;
+  }
+
+  bool step() {
+    ++meetings_;
+    const std::uint64_t m = agents_.size();
+    const std::uint64_t i = rng_.below(m);
+    std::uint64_t j = rng_.below(m - 1);
+    if (j >= i) ++j;  // ordered pair of *distinct* agents, uniform
+    const pp::State q = agents_[i];
+    const pp::State r = agents_[j];
+    const auto candidates = protocol_.transitions_for(q, r);
+    if (candidates.empty()) return false;
+    ++firings_;
+    const std::uint32_t pick =
+        candidates.size() == 1
+            ? candidates[0]
+            : candidates[rng_.below(candidates.size())];
+    const pp::Transition& t = protocol_.transitions()[pick];
+
+    auto retag = [&](std::uint64_t index, pp::State to) {
+      const pp::State from = agents_[index];
+      if (protocol_.is_accepting(from)) --accepting_agents_;
+      if (protocol_.is_accepting(to)) ++accepting_agents_;
+      agents_[index] = to;
+    };
+    retag(i, t.q2);
+    retag(j, t.r2);
+    return true;
+  }
+
+  std::uint64_t accepting_agents() const { return accepting_agents_; }
+  std::uint64_t meetings() const { return meetings_; }
+  std::uint64_t firings() const { return firings_; }
+  pp::Config config() const {
+    pp::Config config(protocol_.num_states());
+    for (pp::State q : agents_) config.add(q);
+    return config;
+  }
+
+ private:
+  const pp::Protocol& protocol_;
+  std::vector<pp::State> agents_;
+  std::uint64_t accepting_agents_ = 0;
+  std::uint64_t meetings_ = 0;
+  std::uint64_t firings_ = 0;
+  support::Rng rng_;
+};
 
 void expect_per_agent_bit_identical(const pp::Protocol& protocol,
                                     const pp::Config& initial,
                                     std::uint64_t steps) {
-  pp::Simulator interp(protocol, initial, 99, Dispatch::kInterp);
-  pp::Simulator bytecode(protocol, initial, 99, Dispatch::kBytecode);
+  MapInterpreter oracle(protocol, initial, 99);
+  pp::Simulator sim(protocol, initial, 99);
   for (std::uint64_t i = 0; i < steps; ++i) {
-    ASSERT_EQ(interp.step(), bytecode.step()) << "step " << i;
-    ASSERT_EQ(interp.accepting_agents(), bytecode.accepting_agents())
+    ASSERT_EQ(oracle.step(), sim.step()) << "step " << i;
+    ASSERT_EQ(oracle.accepting_agents(), sim.accepting_agents())
         << "step " << i;
-    if (i % 512 == 0) ASSERT_EQ(interp.config(), bytecode.config());
+    if (i % 512 == 0) {
+      ASSERT_EQ(oracle.config(), sim.config());
+    }
   }
-  EXPECT_EQ(interp.config(), bytecode.config());
-  expect_metrics_equal(interp.metrics(), bytecode.metrics());
+  EXPECT_EQ(oracle.config(), sim.config());
+  EXPECT_EQ(oracle.meetings(), sim.metrics().meetings);
+  EXPECT_EQ(oracle.firings(), sim.metrics().firings);
 }
 
 TEST(Differential, PerAgentTrajectoriesBitIdentical) {
@@ -271,70 +301,10 @@ TEST(Differential, PerAgentTrajectoriesBitIdentical) {
       conv.protocol, conv.initial_config(conv.num_pointers + 4), 20'000);
 }
 
-// ---------------------------------------------------------------------------
-// Differential: count engine.
-
-void expect_count_bit_identical(const pp::Protocol& protocol,
-                                const pp::Config& initial, bool null_skip,
-                                std::uint64_t steps) {
-  engine::CountSimOptions interp_options{null_skip, Dispatch::kInterp};
-  engine::CountSimOptions bytecode_options{null_skip, Dispatch::kBytecode};
-  engine::CountSimulator interp(protocol, initial, 7, interp_options);
-  engine::CountSimulator bytecode(protocol, initial, 7, bytecode_options);
-  for (std::uint64_t i = 0; i < steps && !interp.frozen(); ++i) {
-    ASSERT_EQ(interp.step(), bytecode.step()) << "step " << i;
-    ASSERT_EQ(interp.interactions(), bytecode.interactions()) << "step " << i;
-    if (i % 512 == 0) ASSERT_EQ(interp.config(), bytecode.config());
-  }
-  EXPECT_EQ(interp.config(), bytecode.config());
-  expect_metrics_equal(interp.metrics(), bytecode.metrics());
-}
-
-TEST(Differential, CountEngineBitIdenticalWithNullSkip) {
-  const pp::Protocol majority = baselines::make_majority();
-  expect_count_bit_identical(
-      majority, baselines::majority_initial(majority, 500, 480), true, 50'000);
-  const pp::Protocol flock = baselines::make_flock_of_birds(3);
-  expect_count_bit_identical(flock, baselines::flock_initial(flock, 60), true,
-                             50'000);
-  const pp::Protocol czerner = czerner_protocol(1);
-  const auto conv = compile::machine_to_protocol(
-      compile::lower_program(czerner::build_construction(1).program).machine);
-  expect_count_bit_identical(conv.protocol,
-                             conv.initial_config(conv.num_pointers + 6), true,
-                             50'000);
-}
-
-TEST(Differential, CountEngineBitIdenticalWithoutNullSkip) {
-  const pp::Protocol majority = baselines::make_majority();
-  expect_count_bit_identical(
-      majority, baselines::majority_initial(majority, 500, 480), false,
-      50'000);
-  const pp::Protocol czerner = czerner_protocol(1);
-  const auto conv = compile::machine_to_protocol(
-      compile::lower_program(czerner::build_construction(1).program).machine);
-  expect_count_bit_identical(conv.protocol,
-                             conv.initial_config(conv.num_pointers + 6), false,
-                             50'000);
-}
-
-TEST(Differential, CountEngineBeyondMatrixCapacity) {
-  // 100 populated states exceed the 64-slot activity matrix, forcing the
-  // general selection paths in both dispatch modes; 600 states also puts
-  // the bytecode probe on the perfect-hash lookup.
-  const pp::Protocol small_ring = make_ring(100);
-  expect_count_bit_identical(small_ring, uniform_initial(small_ring, 3), true,
-                             30'000);
-  const pp::Protocol big_ring = make_ring(600);
-  expect_count_bit_identical(big_ring, uniform_initial(big_ring, 2), true,
-                             10'000);
-  expect_count_bit_identical(big_ring, uniform_initial(big_ring, 2), false,
-                             10'000);
-}
-
 TEST(Differential, SilentOnlyPairsAreNullInBothModes) {
-  // (a, b) has only the identity transition: the meeting must not fire in
-  // either dispatch mode, and trajectories must stay aligned.
+  // (a, b) has only the identity transition: the meeting must not fire on
+  // the per-agent simulator or on the count engine, and the per-agent
+  // trajectory must stay aligned with the map interpreter.
   pp::Protocol protocol;
   const pp::State a = protocol.add_state("a");
   const pp::State b = protocol.add_state("b");
@@ -351,71 +321,41 @@ TEST(Differential, SilentOnlyPairsAreNullInBothModes) {
   initial.add(a, 5);
   initial.add(b, 5);
   expect_per_agent_bit_identical(protocol, initial, 2'000);
-  expect_count_bit_identical(protocol, initial, false, 2'000);
-}
 
-// ---------------------------------------------------------------------------
-// Differential: exact verification.
-
-TEST(Differential, VerifierGraphIdenticalAcrossDispatch) {
-  const auto lowered =
-      compile::lower_program(czerner::build_construction(1).program);
-  compile::ConversionOptions nb;
-  nb.with_broadcast = false;
-  const auto conv = compile::machine_to_protocol(lowered.machine, nb);
-  const czerner::Construction c = czerner::build_construction(1);
-  for (std::uint64_t m_regs : {6ull, 7ull, 8ull}) {
-    std::vector<std::uint64_t> regs(c.num_registers(), 0);
-    regs[c.R()] = m_regs;
-    const pp::Config initial =
-        conv.pi(machine::initial_state(lowered.machine, regs), false);
-    // Interp at one thread is the reference; bytecode must match it both
-    // single- and multi-threaded. (Interp thread-independence is already
-    // pinned by test_verify.)
-    const std::pair<Dispatch, unsigned> configs[] = {
-        {Dispatch::kInterp, 1u},
-        {Dispatch::kBytecode, 1u},
-        {Dispatch::kBytecode, 4u},
-    };
-    std::vector<pp::VerificationResult> results;
-    for (const auto& [dispatch, threads] : configs) {
-      pp::VerifierOptions options;
-      options.witness_mode = true;
-      options.threads = threads;
-      options.dispatch = dispatch;
-      results.push_back(pp::Verifier(conv.protocol).verify(initial, options));
-    }
-    for (std::size_t i = 1; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].verdict, results[0].verdict) << "m=" << m_regs;
-      EXPECT_EQ(results[i].explored_configs, results[0].explored_configs);
-      EXPECT_EQ(results[i].explored_edges, results[0].explored_edges);
-      EXPECT_EQ(results[i].num_sccs, results[0].num_sccs);
-      EXPECT_EQ(results[i].num_bottom_sccs, results[0].num_bottom_sccs);
-    }
+  // The one transition left, (b, a -> a, a), always changes the
+  // configuration, so the count engine fires exactly when it changes.
+  engine::CountSimOptions options;
+  options.null_skip = false;
+  engine::CountSimulator sim(protocol, initial, 7, options);
+  std::uint64_t changes = 0;
+  for (int i = 0; i < 2'000; ++i) {
+    const pp::Config before = sim.config();
+    const bool fired = sim.step();
+    const bool changed = before != sim.config();
+    EXPECT_EQ(fired, changed) << "step " << i;
+    if (changed) ++changes;
   }
+  EXPECT_EQ(sim.metrics().firings, changes);
 }
 
 // ---------------------------------------------------------------------------
-// Differential: certification.
+// Certification.
 
 TEST(Differential, CertificateDigestIdenticalAcrossDispatchAndThreads) {
   const auto conv = compile::machine_to_protocol(
       compile::lower_program(czerner::build_construction(1).program).machine);
   const pp::Config initial = conv.initial_config(conv.num_pointers + 2);
   std::vector<smc::Certificate> certs;
-  for (const Dispatch dispatch : {Dispatch::kInterp, Dispatch::kBytecode}) {
-    for (const unsigned threads : {1u, 4u}) {
-      smc::CertifyOptions options;
-      options.max_trials = 12;
-      options.batch = 4;
-      options.threads = threads;
-      options.seed = 3;
-      options.sim.stable_window = 2'000'000;
-      options.sim.max_interactions = 40'000'000;
-      options.dispatch = dispatch;
-      certs.push_back(smc::certify(conv.protocol, initial,
-                                   /*expected_output=*/false, options));
-    }
+  for (const unsigned threads : {1u, 4u}) {
+    smc::CertifyOptions options;
+    options.max_trials = 12;
+    options.batch = 4;
+    options.threads = threads;
+    options.seed = 3;
+    options.sim.stable_window = 2'000'000;
+    options.sim.max_interactions = 40'000'000;
+    certs.push_back(smc::certify(conv.protocol, initial,
+                                 /*expected_output=*/false, options));
   }
   for (std::size_t i = 1; i < certs.size(); ++i) {
     EXPECT_EQ(smc::certificate_digest(certs[i]),

@@ -2,9 +2,8 @@
 // (DESIGN.md S27): the scenario descriptor grammar (canonicalisation and
 // malformed-input rejection), the scheduler strategies' adjacency laws,
 // the fault plans' timing and population bounds, bit-identical
-// trajectories across dispatch cores and against the pre-S27 uniform
-// path (clique is the differential anchor: same meeting law, different
-// digest scope), scenario-scoped certificate digests that are stable
+// trajectories against the pre-S27 uniform path (clique is the
+// differential anchor: same meeting law, different digest scope), scenario-scoped certificate digests that are stable
 // across thread counts, the pre-S27 bit-compatibility of
 // analysis::random_noise, and the serve wire (scenario field omission,
 // admission-time rejection, worker-count-independent digests).
@@ -252,22 +251,6 @@ TEST_F(MajorityFixture, CliqueIsTheUniformMeetingLawDifferentialAnchor) {
   EXPECT_EQ(plain.config(), clique.config());
 }
 
-TEST_F(MajorityFixture, TrajectoriesBitIdenticalAcrossDispatchCores) {
-  for (const char* text :
-       {"ring", "grid", "regular:4", "biased:4", "aging",
-        "uniform+corrupt:0.001", "ring+burst:500,2", "aging+churn:0.002"}) {
-    const Scenario scenario = Scenario::parse(text);
-    pp::Simulator interp(protocol, initial, scenario, /*seed=*/5,
-                         isa::Dispatch::kInterp);
-    pp::Simulator bytecode(protocol, initial, scenario, /*seed=*/5,
-                           isa::Dispatch::kBytecode);
-    const auto a = interp.run_until_stable(quick());
-    const auto b = bytecode.run_until_stable(quick());
-    expect_same_run(a, b);
-    EXPECT_EQ(interp.config(), bytecode.config()) << text;
-  }
-}
-
 TEST_F(MajorityFixture, ScenarioRunsAreSeedDeterministic) {
   for (const char* text : {"ring", "biased:0.5", "uniform+churn:0.01"}) {
     const Scenario scenario = Scenario::parse(text);
@@ -359,7 +342,7 @@ TEST_F(MajorityFixture, EnsembleFallsBackToPerAgentAndStaysDeterministic) {
 // ---------------------------------------------------------------------------
 // Certification: the scenario descriptor is part of the certified
 // statement (digest-scoped), and certificates stay reproducible at every
-// thread count and on both dispatch cores.
+// thread count.
 
 struct CertifyN1 : ::testing::Test {
   CertifyN1()
@@ -373,7 +356,7 @@ struct CertifyN1 : ::testing::Test {
     options.max_trials = 24;
     options.delta = 0.1;
     options.indifference = 0.8;
-    // Deliberately tiny: digest scoping and thread/dispatch stability do
+    // Deliberately tiny: digest scoping and thread stability do
     // not require stabilising trials, and a stressed trial that exhausts
     // its budget costs the full budget on the per-agent simulator.
     options.sim.stable_window = 200'000;
@@ -417,9 +400,6 @@ TEST_F(CertifyN1, ScenarioDigestIsThreadAndDispatchIndependent) {
   options.threads = 1;
   const std::uint64_t reference = smc::certificate_digest(certify(options));
   options.threads = 4;
-  EXPECT_EQ(smc::certificate_digest(certify(options)), reference);
-  options.threads = 1;
-  options.dispatch = isa::Dispatch::kInterp;
   EXPECT_EQ(smc::certificate_digest(certify(options)), reference);
 }
 

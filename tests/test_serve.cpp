@@ -711,22 +711,30 @@ TEST(Server, ConcurrentQueriesShareTheWorkerPool) {
   }
 }
 
-/// `frame` (an encoded JSON object) with the `"batch":8` width field older
-/// clients and daemons still send appended.
-std::string with_legacy_batch_field(const std::string& frame) {
-  return frame.substr(0, frame.rfind('}')) + R"(,"batch":8})";
+/// Fields older clients and daemons still send, which parsers must drop:
+/// the lockstep batch width and the execution-core selector, valid or not.
+constexpr const char* kLegacyFields[] = {
+    R"("batch":8)", R"("dispatch":"interp")", R"("dispatch":"bogus")"};
+
+/// `frame` (an encoded JSON object) with `field` appended.
+std::string with_legacy_field(const std::string& frame, const char* field) {
+  return frame.substr(0, frame.rfind('}')) + "," + field + "}";
 }
 
 TEST(Server, LegacyBatchFieldIsIgnored) {
   // Query: parses to exactly what the frame without the field denotes.
   const QueryParams query = smoke_query();
   const std::string plain = encode_query(query);
-  const std::string legacy = with_legacy_batch_field(plain);
-  ASSERT_NE(legacy.find(R"("batch":8)"), std::string::npos);
-  EXPECT_EQ(encode_query(parse_query(Json::parse(legacy))), plain);
+  std::vector<std::string> frames = {plain};
+  for (const char* field : kLegacyFields) {
+    const std::string legacy = with_legacy_field(plain, field);
+    ASSERT_NE(legacy.find(field), std::string::npos);
+    EXPECT_EQ(encode_query(parse_query(Json::parse(legacy))), plain) << field;
+    frames.push_back(legacy);
+  }
 
-  // Worker: the same range with and without the field ships byte-identical
-  // records.
+  // Worker: the same range with and without each field ships
+  // byte-identical records.
   ForkedWorker worker;
   BatchRequest request;
   request.n = 1;
@@ -737,10 +745,17 @@ TEST(Server, LegacyBatchFieldIsIgnored) {
   request.count = 4;
   request.window = 1'000'000;
   request.budget = 100'000'000;
+  const std::string plain_request = encode_batch_request(request);
+  std::vector<std::string> requests = {plain_request};
+  for (const char* field : kLegacyFields) {
+    const std::string legacy = with_legacy_field(plain_request, field);
+    EXPECT_EQ(encode_batch_request(parse_batch_request(Json::parse(legacy))),
+              plain_request)
+        << field;
+    requests.push_back(legacy);
+  }
   std::vector<std::string> records;
-  for (const std::string& frame :
-       {encode_batch_request(request),
-        with_legacy_batch_field(encode_batch_request(request))}) {
+  for (const std::string& frame : requests) {
     write_frame(worker.fd(), frame);
     std::string payload;
     ASSERT_TRUE(read_frame(worker.fd(), payload));
@@ -751,10 +766,11 @@ TEST(Server, LegacyBatchFieldIsIgnored) {
     bare.records = result.records;
     records.push_back(encode_batch_result(bare, false));
   }
-  EXPECT_EQ(records[0], records[1]);
+  for (std::size_t i = 1; i < records.size(); ++i)
+    EXPECT_EQ(records[i], records[0]) << requests[i];
   EXPECT_TRUE(worker.exit_cleanly());
 
-  // Daemon: both frames certify to the in-process digest.
+  // Daemon: every frame certifies to the in-process digest.
   ServerOptions options;
   options.port = 0;
   options.workers = 1;
@@ -762,7 +778,7 @@ TEST(Server, LegacyBatchFieldIsIgnored) {
   RunningServer running(options);
   const std::string reference =
       digest_of(smc::to_jsonl(reference_certificate(query)));
-  for (const std::string& frame : {plain, legacy}) {
+  for (const std::string& frame : frames) {
     std::string response;
     std::string error;
     ASSERT_TRUE(rpc(running.endpoint(), frame, &response, &error)) << error;

@@ -620,7 +620,7 @@ TEST(Verifier, ResultsAreIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Verifier, PinsTheTinyFrontierAtEveryThreadCountAndDispatch) {
+TEST(Verifier, PinsTheTinyFrontierAtEveryThreadCount) {
   // The n = 1 no-broadcast conversion from pi(C) with m_regs = 4, witness
   // mode: the same counts as the verify-frontier benchmark's tiny size.
   const czerner::Construction c = czerner::build_construction(1);
@@ -634,15 +634,11 @@ TEST(Verifier, PinsTheTinyFrontierAtEveryThreadCountAndDispatch) {
   const pp::Config initial =
       conv.pi(machine::initial_state(lowered.machine, regs), false);
   std::vector<pp::VerificationResult> results;
-  for (const isa::Dispatch dispatch :
-       {isa::Dispatch::kBytecode, isa::Dispatch::kInterp}) {
-    for (const unsigned threads : {1u, 4u}) {
-      pp::VerifierOptions options;
-      options.witness_mode = true;
-      options.threads = threads;
-      options.dispatch = dispatch;
-      results.push_back(pp::Verifier(conv.protocol).verify(initial, options));
-    }
+  for (const unsigned threads : {1u, 4u}) {
+    pp::VerifierOptions options;
+    options.witness_mode = true;
+    options.threads = threads;
+    results.push_back(pp::Verifier(conv.protocol).verify(initial, options));
   }
   EXPECT_EQ(results[0].verdict,
             pp::VerificationResult::Verdict::kStabilisesTrue);

@@ -40,13 +40,13 @@ def require(path, condition, message):
 
 
 def check_engine(path, doc):
-    """bench_engine_v == 4: per-(mode, dispatch, harness, m) rows."""
-    require(path, doc.get("bench_engine_v") == 4,
-            f"bench_engine_v != 4 (got {doc.get('bench_engine_v')})")
+    """bench_engine_v == 5: per-(mode, harness, m) rows."""
+    require(path, doc.get("bench_engine_v") == 5,
+            f"bench_engine_v != 5 (got {doc.get('bench_engine_v')})")
     rows = doc.get("rows")
     require(path, isinstance(rows, list) and rows, "rows missing or empty")
     for i, row in enumerate(rows):
-        for key in ("protocol", "m", "mode", "dispatch", "harness",
+        for key in ("protocol", "m", "mode", "harness",
                     "firings_per_sec", "effective_meetings_per_sec",
                     "threads"):
             require(path, key in row, f"rows[{i}] missing {key}")
@@ -57,14 +57,10 @@ def check_engine(path, doc):
                 f"rows[{i}] nonpositive effective_meetings_per_sec")
         require(path, row["harness"] in ("step", "fleet"),
                 f"rows[{i}] bad harness {row['harness']!r}")
-    # All three engine modes, both dispatch cores (S26), the large
-    # population point.
+    # All three engine modes and the large population point.
     modes = {row["mode"] for row in rows}
     for mode in ("per-agent", "count-based", "count+null-skip"):
         require(path, mode in modes, f"missing mode {mode}")
-    dispatches = {row["dispatch"] for row in rows}
-    for dispatch in ("interp", "bytecode"):
-        require(path, dispatch in dispatches, f"missing dispatch {dispatch}")
     require(path, any(row["m"] == 100014 for row in rows),
             "missing m=100014 row")
     # The fleet harness at the large population: the trial loop users run.
@@ -73,18 +69,16 @@ def check_engine(path, doc):
             "missing fleet row at m=100014")
     # The certify statement's population, m = |F| + 2 = 16, where nearly
     # every firing populates or depopulates a state: a count+null-skip step
-    # row per dispatch core.
-    for dispatch in ("interp", "bytecode"):
-        require(path, any(row["m"] == 16 and row["mode"] == "count+null-skip"
-                          and row["harness"] == "step"
-                          and row["dispatch"] == dispatch for row in rows),
-                f"missing count+null-skip step row at m=16 ({dispatch})")
+    # row.
+    require(path, any(row["m"] == 16 and row["mode"] == "count+null-skip"
+                      and row["harness"] == "step" for row in rows),
+            "missing count+null-skip step row at m=16")
 
 
 def row_key(row):
     """Identity of one engine row across re-measures of the same machine."""
-    return (row["protocol"], row["m"], row["mode"], row["dispatch"],
-            row["harness"], row["threads"])
+    return (row["protocol"], row["m"], row["mode"], row["harness"],
+            row["threads"])
 
 
 def compare_fresh(baseline_path, fresh_path, factor, warn_only):

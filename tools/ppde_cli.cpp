@@ -37,7 +37,6 @@
 #include "compile/to_protocol.hpp"
 #include "czerner/construction.hpp"
 #include "engine/ensemble.hpp"
-#include "isa/compiled.hpp"
 #include "machine/interp.hpp"
 #include "obs/progress.hpp"
 #include "obs/registry.hpp"
@@ -88,16 +87,6 @@ std::uint64_t flag_value(int argc, char** argv, const char* flag,
 double flag_double(int argc, char** argv, const char* flag, double fallback) {
   const char* text = flag_cstr(argc, argv, flag);
   return text != nullptr ? std::strtod(text, nullptr) : fallback;
-}
-
-/// Execution core selected by `--dispatch={interp,bytecode}` (S26);
-/// default bytecode. Both cores produce bit-identical trajectories,
-/// digests and verdicts, so this is a performance/debugging switch, not
-/// a semantic one. Throws std::invalid_argument on an unknown value.
-isa::Dispatch flag_dispatch(int argc, char** argv) {
-  const char* text = flag_cstr(argc, argv, "--dispatch");
-  return text != nullptr ? isa::parse_dispatch(text)
-                         : isa::Dispatch::kBytecode;
 }
 
 /// Stress scenario (S27) selected by `--scheduler=...` and `--fault=...`;
@@ -317,8 +306,7 @@ int cmd_info(int n, bool equality) {
 }
 
 int cmd_simulate(int argc, char** argv, int n, std::uint32_t extra,
-                 std::uint64_t seed, isa::Dispatch dispatch,
-                 const sched::Scenario& scenario) {
+                 std::uint64_t seed, const sched::Scenario& scenario) {
   const auto lowered = compile::lower_program(build(n, false).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
   const std::uint64_t m = conv.num_pointers + extra;
@@ -326,8 +314,7 @@ int cmd_simulate(int argc, char** argv, int n, std::uint32_t extra,
               n, extra, (unsigned long long)m, (unsigned long long)seed);
   if (!scenario.is_default())
     std::printf("scenario: %s\n", scenario.to_string().c_str());
-  pp::Simulator sim(conv.protocol, conv.initial_config(m), scenario, seed,
-                    dispatch);
+  pp::Simulator sim(conv.protocol, conv.initial_config(m), scenario, seed);
   pp::SimulationOptions options;
   options.stable_window = flag_value(argc, argv, "--window", 90'000'000);
   options.max_interactions =
@@ -361,7 +348,7 @@ int cmd_simulate(int argc, char** argv, int n, std::uint32_t extra,
 
 int cmd_ensemble(int n, std::uint32_t extra, std::uint64_t trials,
                  unsigned threads, std::uint64_t seed, bool json,
-                 isa::Dispatch dispatch, const sched::Scenario& scenario) {
+                 const sched::Scenario& scenario) {
   const auto lowered = compile::lower_program(build(n, false).program);
   const auto conv = compile::machine_to_protocol(lowered.machine);
   const std::uint64_t m = conv.num_pointers + extra;
@@ -370,7 +357,6 @@ int cmd_ensemble(int n, std::uint32_t extra, std::uint64_t trials,
   options.threads = threads;
   options.master_seed = seed;
   options.engine = engine::EngineKind::kCountNullSkip;
-  options.dispatch = dispatch;
   options.scenario = scenario;
   options.sim.stable_window = 90'000'000;
   options.sim.max_interactions = 2'000'000'000;
@@ -414,7 +400,6 @@ int cmd_certify(int argc, char** argv, int n, std::uint32_t extra,
       flag_value(argc, argv, "--window", 90'000'000);
   options.sim.max_interactions =
       flag_value(argc, argv, "--budget", 2'000'000'000);
-  options.dispatch = flag_dispatch(argc, argv);
   options.scenario = flag_scenario(argc, argv);
 
   const smc::Certificate cert =
@@ -450,7 +435,6 @@ int cmd_verify(int argc, char** argv, int n, std::uint64_t m_regs,
   options.threads = static_cast<unsigned>(
       flag_value(argc, argv, "--threads", 0));
   options.prune = has_flag(argc, argv, "--prune");
-  options.dispatch = flag_dispatch(argc, argv);
   const auto verdict =
       pp::Verifier(conv.protocol)
           .verify(conv.pi(machine::initial_state(lowered.machine, regs),
@@ -581,11 +565,9 @@ int cmd_client(int argc, char** argv, const std::vector<char*>& pos) {
     query.window = flag_value(argc, argv, "--window", query.window);
     query.budget = flag_value(argc, argv, "--budget", query.budget);
     query.shard = flag_value(argc, argv, "--shard", 0);
-    // Validate locally so a typo fails here, not server-side.
-    query.dispatch = isa::to_string(flag_dispatch(argc, argv));
-    // Same local validation for the scenario; the wire carries the
-    // canonical rendering and omits the field for the default scenario
-    // (pre-S27 servers keep working).
+    // Validate the scenario locally so a typo fails here, not
+    // server-side; the wire carries the canonical rendering and omits the
+    // field for the default scenario (pre-S27 servers keep working).
     const sched::Scenario scenario = flag_scenario(argc, argv);
     if (!scenario.is_default()) query.scenario = scenario.to_string();
   } else if (query.req == "stats") {
@@ -679,8 +661,6 @@ constexpr VerbHelp kVerbs[] = {
      "    [seed]        RNG seed (default 42)\n"
      "    --window=W    consensus stability window (default 9e7)\n"
      "    --budget=I    interaction budget (default 2e9)\n"
-     "    --dispatch=D  execution core (S26): bytecode (default) or interp;\n"
-     "                  trajectories are bit-identical either way\n"
      "    --scheduler=S meeting scheduler (S27): uniform (default), clique,\n"
      "                  ring, grid[:W], regular[:D], biased[:G], aging\n"
      "    --fault=F     fault plan (S27): none (default), corrupt:RATE[,K],\n"
@@ -691,8 +671,6 @@ constexpr VerbHelp kVerbs[] = {
      "    [threads]    worker threads; 0 = all hardware threads (default)\n"
      "    [seed]       master seed; trial i uses derive_trial_seed(seed, i)\n"
      "                 so results are identical at every thread count\n"
-     "    --dispatch=D execution core (S26): bytecode (default) or interp;\n"
-     "                 per-trial records are bit-identical either way\n"
      "    --scheduler=S / --fault=F\n"
      "                 stress scenario (S27); a non-default scenario falls\n"
      "                 back to the per-agent simulator (fast paths are\n"
@@ -713,8 +691,6 @@ constexpr VerbHelp kVerbs[] = {
      "    --indifference=E   SPRT indifference width (default 0.05)\n"
      "    --window=W         consensus stability window (default 9e7)\n"
      "    --budget=I         per-trial interaction budget (default 2e9)\n"
-     "    --dispatch=D       execution core (S26): bytecode (default) or\n"
-     "                       interp; the certificate digest is identical\n"
      "    --scheduler=S      meeting scheduler (S27): uniform (default),\n"
      "                       clique, ring, grid[:W], regular[:D],\n"
      "                       biased[:G], aging\n"
@@ -734,10 +710,7 @@ constexpr VerbHelp kVerbs[] = {
      "    --max-edges=E      edge budget (default unlimited)\n"
      "    --max-bytes=B      interner byte budget (default unlimited)\n"
      "    --prune            drop states no run can occupy before\n"
-     "                       exploring (verdict unchanged)\n"
-     "    --dispatch=D       execution core (S26) for the successor\n"
-     "                       generator: bytecode (default) or interp;\n"
-     "                       node IDs, SCCs and verdict are identical\n"},
+     "                       exploring (verdict unchanged)\n"},
     {"decide", "<n> <m> [--equality]",
      "  Program-level exhaustive decision.\n"
      "    --equality   decide the x = k(n) variant\n"},
@@ -775,7 +748,7 @@ constexpr VerbHelp kVerbs[] = {
      "  response (exit 0 iff the response says ok).\n"
      "    certify <n> <extra>   SPRT certification; accepts the same\n"
      "                          --trials/--seed/--delta/--indifference/\n"
-     "                          --alpha/--beta/--window/--budget/--dispatch/\n"
+     "                          --alpha/--beta/--window/--budget/\n"
      "                          --scheduler/--fault flags as\n"
      "                          `ppde certify`, plus --shard=K\n"
      "    ensemble <n> <extra>  fleet summary; --trials=N is the exact\n"
@@ -942,7 +915,6 @@ int main(int argc, char** argv) {
                           static_cast<std::uint32_t>(std::atoi(pos[2])),
                           pos.size() >= 4 ? std::strtoull(pos[3], nullptr, 10)
                                           : 42,
-                          flag_dispatch(argc, argv),
                           flag_scenario(argc, argv));
     if (command == "ensemble" && pos.size() >= 4)
       return cmd_ensemble(
@@ -950,7 +922,7 @@ int main(int argc, char** argv) {
           std::strtoull(pos[3], nullptr, 10),
           pos.size() >= 5 ? static_cast<unsigned>(std::atoi(pos[4])) : 0,
           pos.size() >= 6 ? std::strtoull(pos[5], nullptr, 10) : 42, json,
-          flag_dispatch(argc, argv), flag_scenario(argc, argv));
+          flag_scenario(argc, argv));
     if (command == "certify" && pos.size() >= 3)
       return cmd_certify(argc, argv, n,
                          static_cast<std::uint32_t>(std::atoi(pos[2])), json);
