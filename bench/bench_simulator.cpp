@@ -271,7 +271,7 @@ int write_json_report(const char* path, double budget_seconds) {
 // ---------------------------------------------------------------------------
 // Small-population churn: at m = |F| + 2, the population `ppde certify`
 // runs at, how many states each firing populates and depopulates — the
-// populated-list and activity-mask updates the count engine pays per
+// populated-list and populated-bitset updates the count engine pays per
 // firing (S21). Untimed; frozen runs restart with the next seed.
 // ---------------------------------------------------------------------------
 

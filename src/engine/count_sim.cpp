@@ -41,6 +41,14 @@ CountSimulator::CountSimulator(const pp::Protocol& protocol,
     throw std::logic_error("CountSimulator: protocol not finalized");
   if (index.num_states() != protocol.num_states())
     throw std::invalid_argument("CountSimulator: index/protocol mismatch");
+  const isa::CompiledProtocol& compiled = index.compiled();
+  words_ = compiled.bitset_words();
+  if (words_ != 0) {
+    rows_ = compiled.active_row(0);
+    cols_ = compiled.active_col(0);
+    col_class_ = &compiled.raw().col_class[0];
+    populated_bits_.assign(words_, 0);
+  }
   load(initial);
 }
 
@@ -54,18 +62,13 @@ void CountSimulator::load(const pp::Config& initial) {
     if (protocol_->is_accepting(q)) accepting_ += counts_[q];
     position_[q] = static_cast<std::uint32_t>(populated_.size());
     populated_.push_back(q);
+    if (words_ != 0) mark_populated(q);
   }
-  const auto filled = static_cast<std::uint32_t>(populated_.size());
-  matrix_ok_ = filled <= kMatrixSlots;
-  if (matrix_ok_)
-    col_mask_.fill(0);
-  else
-    sorted_populated_ = populated_;  // filled in ascending state order
-  partner_sum_.resize(filled);
-  for (std::uint32_t slot = 0; slot < filled; ++slot) {
+  if (words_ == 0) sorted_populated_ = populated_;  // filled in state order
+  partner_sum_.resize(populated_.size());
+  for (std::uint32_t slot = 0; slot < populated_.size(); ++slot) {
     const pp::State q = populated_[slot];
-    partner_sum_[slot] =
-        matrix_ok_ ? build_matrix_row(slot) : fresh_partner_sum(q);
+    partner_sum_[slot] = fresh_partner_sum(q);
     push_weight(counts_[q] * partner_sum_[slot]);
   }
 }
@@ -74,7 +77,9 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
   for (const pp::State q : populated_) {
     counts_.remove(q, counts_[q]);
     position_[q] = kNoPosition;
+    if (words_ != 0) populated_bits_[q >> 6] = 0;
   }
+  summary_ = {};
   populated_.clear();
   sorted_populated_.clear();
   partner_sum_.clear();
@@ -88,10 +93,44 @@ void CountSimulator::reset(const pp::Config& initial, std::uint64_t seed) {
   load(initial);
 }
 
+template <class Word, class Stop>
+inline pp::State CountSimulator::find_populated(Word word, Stop stop) const {
+  for (std::size_t half = 0; half < summary_.size(); ++half)
+    for (std::uint64_t live = summary_[half]; live != 0; live &= live - 1) {
+      const std::size_t w = half * 64 + std::countr_zero(live);
+      for (std::uint64_t bits = word(w) & populated_bits_[w]; bits != 0;
+           bits &= bits - 1) {
+        const auto s = static_cast<pp::State>(w * 64 + std::countr_zero(bits));
+        if (stop(s)) return s;
+      }
+    }
+  return kNoPosition;
+}
+
+inline void CountSimulator::mark_populated(pp::State q) {
+  const std::size_t w = q >> 6;
+  populated_bits_[w] |= std::uint64_t{1} << (q & 63);
+  summary_[w >> 6] |= std::uint64_t{1} << (w & 63);
+}
+
+inline void CountSimulator::unmark_populated(pp::State q) {
+  const std::size_t w = q >> 6;
+  populated_bits_[w] &= ~(std::uint64_t{1} << (q & 63));
+  if (populated_bits_[w] == 0)
+    summary_[w >> 6] &= ~(std::uint64_t{1} << (w & 63));
+}
+
 std::uint64_t CountSimulator::fresh_partner_sum(pp::State q) const {
-  // Zero-count partners contribute nothing, so the sum may run over either
-  // the partner list or the populated list — whichever is shorter.
+  // Zero-count partners contribute nothing, so the sum may run over q's
+  // populated partners or, without bitsets, over either the partner list or
+  // the populated list — whichever is shorter.
   std::uint64_t sum = index_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
+  if (words_ != 0) {
+    const std::uint64_t* row = rows_ + q * words_;
+    for_each_populated([row](std::size_t w) { return row[w]; },
+                       [&](pp::State r) { sum += counts_[r]; });
+    return sum;
+  }
   const auto partners = index_->partners_of(q);
   if (partners.size() <= populated_.size()) {
     for (pp::State r : partners) sum += counts_[r];
@@ -143,27 +182,6 @@ inline void CountSimulator::advance_nulls(std::uint64_t count) {
   ++metrics_.null_skip_batches;
 }
 
-std::uint64_t CountSimulator::build_matrix_row(std::uint32_t slot) {
-  const pp::State q = populated_[slot];
-  const auto filled = static_cast<std::uint32_t>(populated_.size());
-  // Masks carry no bits at or above the live size (the list surgery strips
-  // them), so bit `slot` is clear in every watcher column and the row is
-  // built from nothing; non-populated partners have count zero and are
-  // skipped.
-  const std::uint64_t bit = std::uint64_t{1} << slot;
-  std::uint64_t sum = index_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
-  std::uint64_t row = 0;
-  for (std::uint32_t j = 0; j < filled; ++j) {
-    const pp::State r = populated_[j];
-    if (!index_->pair_active(q, r)) continue;
-    row |= std::uint64_t{1} << j;
-    col_mask_[j] |= bit;
-    sum += counts_[r];
-  }
-  row_mask_[slot] = row;
-  return sum;
-}
-
 void CountSimulator::change_count(pp::State state, std::int64_t delta) {
   if (delta > 0)
     counts_.add(state, static_cast<std::uint32_t>(delta));
@@ -172,43 +190,22 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
   const auto shift = static_cast<std::uint64_t>(delta);  // two's complement
   if (protocol_->is_accepting(state)) accepting_ += shift;
 
-  const auto filled = static_cast<std::uint32_t>(populated_.size());
-  const bool appearing = position_[state] == kNoPosition;  // delta > 0 then
-  if (matrix_ok_ && appearing && filled >= kMatrixSlots) {
-    matrix_ok_ = false;  // populated list outgrew the matrix; until reset
-    sorted_populated_ = populated_;
-    std::sort(sorted_populated_.begin(), sorted_populated_.end());
-  }
-
   // Every populated initiator q with (q, state) active sees its partner
-  // sum move by delta.
-  if (matrix_ok_) {
-    // Walk the set bits of state's watcher mask. A state entering the
-    // populated list gets its column built here, at the slot the append
-    // below will assign (the A-loop must run while the slot list still
-    // excludes `state` — its own partner sum comes fresh).
-    std::uint32_t col = position_[state];
-    if (appearing) {
-      // Activity is static, so the new column is just the populated
-      // initiators active towards `state`; each gains the row bit too.
-      col = filled;
-      const std::uint64_t bit = std::uint64_t{1} << col;
-      std::uint64_t built = 0;
-      for (std::uint32_t i = 0; i < filled; ++i)
-        if (index_->pair_active(populated_[i], state)) {
-          built |= std::uint64_t{1} << i;
-          row_mask_[i] |= bit;
-        }
-      col_mask_[col] = built;
-    }
-    for (std::uint64_t mask = col_mask_[col]; mask != 0; mask &= mask - 1) {
-      const auto i = static_cast<std::uint32_t>(std::countr_zero(mask));
-      partner_sum_[i] += shift;
-      refresh_weight(i);
-    }
+  // sum move by delta. A state entering the populated list is not marked
+  // yet, so it is not its own watcher here; its partner sum comes fresh
+  // below.
+  const bool appearing = position_[state] == kNoPosition;  // delta > 0 then
+  if (words_ != 0) {
+    const std::uint64_t* col = cols_ + state * words_;
+    for_each_populated([col](std::size_t w) { return col[w]; },
+                       [&](pp::State q) {
+                         const std::uint32_t slot = position_[q];
+                         partner_sum_[slot] += shift;
+                         refresh_weight(slot);
+                       });
   } else if (const auto initiators = index_->initiators_meeting(state);
              initiators.size() <= populated_.size()) {
-    // Matrix-less fallback: walk whichever side is shorter — the
+    // Bitset-less fallback: walk whichever side is shorter — the
     // in-partner list of `state` or the populated list — the updated
     // slots are the same.
     for (pp::State p : initiators) {
@@ -218,7 +215,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
       refresh_weight(slot);
     }
   } else {
-    for (std::uint32_t slot = 0; slot < filled; ++slot) {
+    for (std::uint32_t slot = 0; slot < populated_.size(); ++slot) {
       if (!index_->pair_active(populated_[slot], state)) continue;
       partner_sum_[slot] += shift;
       refresh_weight(slot);
@@ -240,42 +237,25 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
       partner_sum_[hole] = partner_sum_[last];
       set_weight(hole, weight_[last]);
     }
-    if (matrix_ok_) {
-      // Relabel both mask families the same way: drop the removed slot's
-      // bit (`hole`), move bit `last` down to `hole`, and move row and
-      // column `last` to `hole`. Masks keep no bits at or above the new
-      // size; the masks left at index `last` go stale until the next
-      // append rebuilds them.
-      const std::uint64_t keep =
-          ~((std::uint64_t{1} << hole) | (std::uint64_t{1} << last));
-      const auto relabel = [&](std::uint64_t m) {
-        return (m & keep) | (hole != last ? ((m >> last) & 1) << hole : 0);
-      };
-      col_mask_[hole] = relabel(col_mask_[last]);
-      row_mask_[hole] = relabel(row_mask_[last]);
-      for (std::uint32_t j = 0; j < last; ++j) {
-        if (j == hole) continue;
-        col_mask_[j] = relabel(col_mask_[j]);
-        row_mask_[j] = relabel(row_mask_[j]);
-      }
-    } else {
+    if (words_ != 0)
+      unmark_populated(state);
+    else
       sorted_populated_.erase(std::lower_bound(
           sorted_populated_.begin(), sorted_populated_.end(), state));
-    }
     partner_sum_.pop_back();
     pop_weight();
   } else if (appearing) {
     const auto slot = static_cast<std::uint32_t>(populated_.size());
     position_[state] = slot;
     populated_.push_back(state);
-    if (!matrix_ok_)
+    if (words_ != 0)
+      mark_populated(state);
+    else
       sorted_populated_.insert(std::upper_bound(sorted_populated_.begin(),
                                                 sorted_populated_.end(), state),
                                state);
-    // Column `slot` was built before the A-loop; one fused walk builds the
-    // row (diagonal included) and the fresh partner sum.
-    partner_sum_.push_back(matrix_ok_ ? build_matrix_row(slot)
-                                      : fresh_partner_sum(state));
+    // Marked first, so a self-active state counts its own C − 1.
+    partner_sum_.push_back(fresh_partner_sum(state));
     ++metrics_.weight_updates;
     push_weight(counts_[state] * partner_sum_[slot]);
   } else {
@@ -286,32 +266,35 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
 void CountSimulator::shift_pair(pp::State from, pp::State to) {
   // Fused fast path for the dominant firing shape on the converted
   // protocols: one agent moves between two already-populated states and
-  // both stay populated, so no list or matrix surgery can occur. Beyond
-  // halving the fixed bookkeeping, the fusion makes the typical firing
-  // nearly update-free: an initiator active towards both `from` and `to`
-  // sees the two partner-sum shifts cancel exactly, leaving only the two
-  // moved slots' own weights to refresh — and a register state with no
-  // partners of its own keeps weight 0, a no-op weight update.
-  if (matrix_ok_ && counts_[from] > 1 && position_[to] != kNoPosition) {
+  // both stay populated, so no list surgery can occur. Beyond halving the
+  // fixed bookkeeping, the fusion makes the typical firing nearly
+  // update-free: an initiator active towards both `from` and `to` sees the
+  // two partner-sum shifts cancel exactly, leaving only the two moved
+  // slots' own weights to refresh — and a register state with no partners
+  // of its own keeps weight 0, a no-op weight update.
+  if (words_ != 0 && counts_[from] > 1 && position_[to] != kNoPosition) {
     counts_.remove(from, 1);
     counts_.add(to, 1);
     if (protocol_->is_accepting(from)) --accepting_;
     if (protocol_->is_accepting(to)) ++accepting_;
-    const std::uint32_t slot_from = position_[from];
-    const std::uint32_t slot_to = position_[to];
-    // Slots watching exactly one of the two states are the XOR of the two
-    // watcher masks — empty for the typical firing, where the same
-    // initiators watch both registers.
-    const std::uint64_t gained = col_mask_[slot_to];
-    std::uint64_t changed = col_mask_[slot_from] ^ gained;
-    for (; changed != 0; changed &= changed - 1) {
-      const auto i = static_cast<std::uint32_t>(std::countr_zero(changed));
-      partner_sum_[i] += (gained >> i) & 1 ? std::uint64_t{1}
-                                           : ~std::uint64_t{0};  // ±1
-      refresh_weight(i);
+    // Initiators watching exactly one of the two states are the XOR of the
+    // two columns — nothing to walk when the columns are equal, the
+    // typical firing, where the same initiators watch both registers.
+    if (col_class_[from] != col_class_[to]) {
+      const std::uint64_t* lost = cols_ + from * words_;
+      const std::uint64_t* gained = cols_ + to * words_;
+      for_each_populated(
+          [lost, gained](std::size_t w) { return lost[w] ^ gained[w]; },
+          [&](pp::State q) {
+            const std::uint32_t slot = position_[q];
+            partner_sum_[slot] += (gained[q >> 6] >> (q & 63)) & 1
+                                      ? std::uint64_t{1}
+                                      : ~std::uint64_t{0};  // ±1
+            refresh_weight(slot);
+          });
     }
-    refresh_weight(slot_from);
-    refresh_weight(slot_to);
+    refresh_weight(position_[from]);
+    refresh_weight(position_[to]);
     return;
   }
   change_count(from, -1);
@@ -355,54 +338,32 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
   // The seed engine's responder walk visits q's partners in ascending
   // state order, each absorbing its pair weight. Restricting it to the
   // populated states selects the identical responder: a zero-count partner
-  // carries zero weight and can never absorb the remainder. With the masks,
-  // gather the row mask's set bits (typically one to three) and sort them
-  // by state. Past kSortedPartners bits, if q's partner row is short
-  // (flock's broadcast levels), walk that row instead: it is in state order
-  // already. Without the masks, walk the shorter of the partner row and
-  // the sorted populated list, probing the latter for activity.
-  std::span<const pp::State> responders;
-  bool probe = false;
-  if (matrix_ok_) {
-    std::uint64_t mask = row_mask_[slot];
-    std::size_t n = 0;
-    for (; mask != 0; mask &= mask - 1) {
-      if (n == kSortedPartners &&
-          index_->partners_of(q).size() <= kMatrixSlots)
-        break;
-      row_partners_[n++] =
-          populated_[static_cast<std::uint32_t>(std::countr_zero(mask))];
-    }
-    if (mask != 0) {
-      responders = index_->partners_of(q);
-    } else {
-      for (std::size_t i = 1; i < n; ++i) {
-        const pp::State partner = row_partners_[i];
-        std::size_t k = i;
-        for (; k != 0 && row_partners_[k - 1] > partner; --k)
-          row_partners_[k] = row_partners_[k - 1];
-        row_partners_[k] = partner;
-      }
-      responders = {row_partners_.data(), n};
-    }
-  } else {
-    responders = index_->partners_of(q);
-    if (responders.size() > populated_.size()) {
-      responders = sorted_populated_;
-      probe = true;
-    }
-  }
-  pp::State r = q;  // overwritten below; the walk always selects, since
-                    // remaining < the slot's total pair weight
-  for (const pp::State partner : responders) {
-    if (probe && !index_->pair_active(q, partner)) continue;
+  // carries zero weight and can never absorb the remainder. With the
+  // bitsets, q's row ANDed with the populated bitset yields exactly those
+  // partners, in state order. Without them, walk the shorter of the
+  // partner row and the sorted populated list, probing the latter for
+  // activity. Either walk always selects, since remaining < the slot's
+  // total pair weight.
+  const auto absorbs = [&](pp::State partner) {
     const std::uint64_t weight =
         cq * (counts_[partner] - (partner == q ? 1 : 0));
-    if (remaining < weight) {
-      r = partner;
-      break;
-    }
+    if (remaining < weight) return true;
     remaining -= weight;
+    return false;
+  };
+  pp::State r = q;
+  if (words_ != 0) {
+    const std::uint64_t* row = rows_ + q * words_;
+    r = find_populated([row](std::size_t w) { return row[w]; }, absorbs);
+  } else if (const auto partners = index_->partners_of(q);
+             partners.size() <= populated_.size()) {
+    r = *std::find_if(partners.begin(), partners.end(), absorbs);
+  } else {
+    r = *std::find_if(sorted_populated_.begin(), sorted_populated_.end(),
+                      [&](pp::State partner) {
+                        return index_->pair_active(q, partner) &&
+                               absorbs(partner);
+                      });
   }
   auto& memo = last_fired_[q];
   if (memo.first != r) memo = {r, index_->compiled().entry_of(q, r)};

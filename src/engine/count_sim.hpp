@@ -27,19 +27,25 @@
 // its running total W, so a firing — which changes at most four counts,
 // each touching only the populated states adjacent to it — costs
 // O(#populated) instead of a full rescan plus an O(in-degree) adjacency
-// walk per count change. Which populated states are adjacent is kept in
-// two 64-bit activity masks per slot (a row and a column), so a count
-// change and the responder walk iterate set bits only, and a state
-// entering or leaving the populated list costs one probe walk or one
-// in-place relabel. Slots are selected by the seed engine's linear
+// walk per count change. Which populated states are adjacent comes from
+// the compiled tables' word-aligned pair bitsets, ANDed with a bitset of
+// the populated states (kept beside the slot list, with a summary word —
+// two past 4,096 states — marking its non-zero words): a count change
+// walks its column's populated watchers, the responder walk its row's
+// populated partners — already in ascending state order — and a state
+// entering or leaving the populated list flips one bit. The fused shift
+// of one agent between two populated states walks the XOR of their
+// columns, or nothing when the compiled column classes say the columns
+// are equal. Slots are selected by the seed engine's linear
 // prefix scans, so the sequence of *configurations*, firings and
 // consensus times for a given seed is bit-identical to the seed engine
 // (test_engine keeps it as the LinearScanOracle) — and distributed
 // identically to pp::Simulator's; only the interaction indices between
 // firings are resampled, from the same geometric law (evaluated in double
 // precision — the one approximation in the engine, and it never touches
-// the state evolution). Firings execute the compiled opcode cells of
-// isa/exec.hpp.
+// the state evolution). Past kBitsetStates states the tables carry no
+// bitsets and the engine walks adjacency lists and a sorted populated
+// list instead. Firings execute the compiled opcode cells of isa/exec.hpp.
 //
 // Populations of size < 2 have no ordered pairs: every meeting is vacuously
 // null, the simulator reports frozen() immediately, and run_until_stable
@@ -99,9 +105,9 @@ class PairIndex {
   /// True iff (q, q) is active.
   bool self_active(pp::State q) const { return compiled_->self_active(q); }
 
-  /// True iff (q, r) is active. O(1) via a dense pair bitset for protocols
-  /// up to kBitsetStates states (97 KB at the converted Czerner n = 1's
-  /// 880 states), O(log out-degree) binary search beyond that.
+  /// True iff (q, r) is active. O(1) via the word-aligned pair rows for
+  /// protocols up to kBitsetStates states (96 KB at the converted Czerner
+  /// n = 1's 880 states), O(log out-degree) binary search beyond that.
   bool pair_active(pp::State q, pp::State r) const {
     return compiled_->pair_active(q, r);
   }
@@ -111,7 +117,7 @@ class PairIndex {
     return compiled_->num_active_pairs();
   }
 
-  /// Largest state count for which the dense pair bitsets are built (8 MB
+  /// Largest state count for which the pair bitsets are built (8 MB
   /// each).
   static constexpr std::size_t kBitsetStates =
       isa::CompiledProtocol::kBitsetStates;
@@ -199,7 +205,8 @@ class CountSimulator {
   /// partner sums and weights.
   void load(const pp::Config& initial);
   /// A(q) = Σ_{r populated, (q,r) active} C(r) − [(q,q) active], computed
-  /// from scratch over the cheaper of partners_of(q) / the populated list.
+  /// from scratch over q's populated partners (bitsets) or the cheaper of
+  /// partners_of(q) / the populated list (past kBitsetStates).
   std::uint64_t fresh_partner_sum(pp::State q) const;
   /// Store slot's weight C(q)·A(q) and move W with it.
   void refresh_weight(std::uint32_t slot);
@@ -220,11 +227,23 @@ class CountSimulator {
   /// change_count(from, -1); change_count(to, +1) — with a fused fast path
   /// for the dominant firing shape, where both states stay populated.
   void shift_pair(pp::State from, pp::State to);
-  /// Build row_mask_[slot], set bit `slot` in the columns it covers, and
-  /// return A(populated_[slot]) — one probe walk over the populated list
-  /// computes all three. The slot must already be in the populated list;
-  /// counts must be current.
-  std::uint64_t build_matrix_row(std::uint32_t slot);
+  /// The first populated state s, in ascending order, whose bit is set in
+  /// word(w) (w the bitset word index) and for which stop(s) holds;
+  /// kNoPosition if there is none. Visits only the words the summary marks
+  /// populated. Needs the bitsets.
+  template <class Word, class Stop>
+  pp::State find_populated(Word word, Stop stop) const;
+  /// stop-less find_populated: call visit(s) for every such state.
+  template <class Word, class Visit>
+  void for_each_populated(Word word, Visit visit) const {
+    find_populated(word, [&](pp::State s) {
+      visit(s);
+      return false;
+    });
+  }
+  /// Set or clear state q in the populated bitset and its summary.
+  void mark_populated(pp::State q);
+  void unmark_populated(pp::State q);
   /// Pick a candidate of active pair `pos` (a uniform draw when it has
   /// several) and execute its compiled cell.
   void fire_cells(pp::State q, pp::State r, std::uint32_t pos);
@@ -242,9 +261,6 @@ class CountSimulator {
   }
 
   static constexpr std::uint32_t kNoPosition = 0xffffffffu;
-  /// Populated-list capacity of the activity masks; must stay <= 64 so a
-  /// row or column fits one 64-bit word.
-  static constexpr std::uint32_t kMatrixSlots = 64;
   /// Populated-list size past which step_meeting counts its two partner
   /// selections as tree_descents. Selection is a linear scan at every
   /// size; the counter keeps the event count the earlier tree-descent
@@ -273,31 +289,22 @@ class CountSimulator {
   /// running total W. Selection is a linear prefix scan over them.
   std::vector<std::uint64_t> weight_;
   std::uint64_t weight_total_ = 0;
-  /// Slot-indexed activity masks over the populated list, two words per
-  /// slot. col_mask_[j]: bit i set iff (populated_[i], populated_[j]) is
-  /// active — the initiator slots watching populated_[j]. A count change
-  /// walks only its set bits, and the fused pair shift walks the XOR of
-  /// two columns — empty whenever both states are watched by the same
-  /// initiators, the typical firing. row_mask_[i]: bit j set under the
-  /// same condition — slot i's active populated responders, which the
-  /// responder walk gathers and sorts by state. A state entering the list
-  /// is linked by PairIndex probes over the filled slots; one leaving it
-  /// relabels both families in place. Maintained while the populated list
-  /// fits in kMatrixSlots slots (matrix_ok_); beyond that the simulator
-  /// walks adjacency lists or probes PairIndex::pair_active until the next
-  /// reset.
-  std::array<std::uint64_t, kMatrixSlots> col_mask_{};
-  std::array<std::uint64_t, kMatrixSlots> row_mask_{};
-  bool matrix_ok_ = false;
-  /// Row-mask partners the responder walk always sorts; past this many it
-  /// walks the initiator's partner row instead when that row has at most
-  /// kMatrixSlots entries.
-  static constexpr std::size_t kSortedPartners = 16;
-  /// Responder-walk scratch, reused across firings: the active partners
-  /// gathered from a row mask.
-  std::array<pp::State, kMatrixSlots> row_partners_{};
-  /// The populated states in ascending order, kept only while the masks
-  /// are off (empty otherwise) for the fallback's responder walk.
+  /// The compiled pair bitsets (isa::CompiledProtocol::active_row /
+  /// active_col / col_class), or null with words_ == 0 past kBitsetStates.
+  /// words_ is W = ⌈|Q|/64⌉, the length of every row, column and of
+  /// populated_bits_.
+  const std::uint64_t* rows_ = nullptr;
+  const std::uint64_t* cols_ = nullptr;
+  const std::uint32_t* col_class_ = nullptr;
+  std::size_t words_ = 0;
+  /// Bit q set iff C(q) > 0 — populated_ as a bitset indexed by state, so
+  /// a row or column ANDed with it yields the populated partners or
+  /// watchers in ascending state order. summary_ bit w is set iff word w
+  /// is non-zero; two words cover kBitsetStates / 64 = 128 words.
+  std::vector<std::uint64_t> populated_bits_;
+  std::array<std::uint64_t, 2> summary_{};
+  /// The populated states in ascending order, kept only past
+  /// kBitsetStates (empty otherwise) for the fallback's responder walk.
   std::vector<pp::State> sorted_populated_;
   /// Memoised geometric-law parameters for sample_null_run: log1p(−p) for
   /// the current (W, m). The dominant firing moves one agent between two

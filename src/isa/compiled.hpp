@@ -21,8 +21,11 @@
 //     candidate needs no Transition load and no per-state accepting probes.
 //     isa/exec.hpp executes cells with computed-goto threaded dispatch.
 //   * Adjacency CSRs (partners_of / initiators_meeting), self-pair flags
-//     and the |Q|² active/any bitsets previously rebuilt per layer by
-//     engine::PairIndex now live here; PairIndex is a thin view.
+//     and, up to kBitsetStates states, word-aligned pair bitsets: one row
+//     of active partners per initiator, its transpose (one column of
+//     watching initiators per responder) and a class per state naming
+//     identical columns. The count engine walks them against its
+//     populated-state bitset; engine::PairIndex is a thin view.
 //
 // Lowering is pure table construction: candidate order equals
 // Protocol::finalize()'s transition order, so a simulator picking
@@ -90,8 +93,8 @@ class CompiledProtocol {
   /// position — firing it cannot change the configuration.
   static constexpr std::uint32_t kSilentOnly = 0xfffffffeu;
 
-  /// Largest |Q| for which the |Q|²-bit active/any bitsets are built
-  /// (8 MB each at the cap) — same threshold the legacy PairIndex used.
+  /// Largest |Q| for which the pair bitsets are built (8 MB each at the
+  /// cap) — same threshold the legacy PairIndex used.
   static constexpr std::size_t kBitsetStates = 8192;
 
   /// The flat tables; see the member comments for invariants. Exported by
@@ -118,10 +121,20 @@ class CompiledProtocol {
     std::vector<std::uint32_t> cand_begin;  ///< size P+1
     std::vector<std::uint32_t> cand_flat;
     std::vector<Cell> cells;  ///< parallel to cand_flat
-    /// |Q|² bitsets (built iff |Q| <= kBitsetStates): pair has an active /
-    /// any candidate.
+    /// Pair bitsets, built iff |Q| <= kBitsetStates (all three empty
+    /// otherwise). The two bitsets are |Q| rows of W = ⌈|Q|/64⌉ words.
+    /// active_bits row q: bit r set iff (q, r) is active — q's partners,
+    /// the out CSR row.
     std::vector<std::uint64_t> active_bits;
-    std::vector<std::uint64_t> any_bits;
+    /// active_cols row r: bit q set iff (q, r) is active — the initiators
+    /// meeting r, the in CSR row; the transpose of active_bits.
+    std::vector<std::uint64_t> active_cols;
+    /// Per state r, the least state whose active_cols row equals r's, so
+    /// two states share a class exactly when the same initiators meet
+    /// them.
+    std::vector<std::uint32_t> col_class;
+    // ignored; kept only because perfbench/ reads it
+    std::vector<std::uint64_t> any_bits;  ///< always empty
   };
 
   /// Lower a finalized (or mid-finalize) protocol. Validates the result.
@@ -130,8 +143,9 @@ class CompiledProtocol {
 
   /// Adopt externally produced tables. Throws std::invalid_argument when
   /// any structural invariant is violated (sizes, CSR monotonicity,
-  /// out-of-range indices, unsorted adjacency, inconsistent cells or
-  /// lookup tables).
+  /// out-of-range indices, unsorted adjacency, an in CSR that is not the
+  /// out CSR's transpose, inconsistent cells or lookup tables, pair
+  /// bitsets or column classes that disagree with the CSRs).
   static std::shared_ptr<const CompiledProtocol> adopt(RawTables tables);
 
   /// Copy of the flat tables (for round-trip/golden tests and tooling).
@@ -184,14 +198,25 @@ class CompiledProtocol {
   /// True iff (q, q) is active.
   bool self_active(pp::State q) const { return t_.self_active[q] != 0; }
 
-  /// True iff (q, r) has a non-silent candidate. O(1) via the bitset when
-  /// built, O(log out-degree) binary search beyond kBitsetStates.
+  /// Words per pair-bitset row, ⌈|Q|/64⌉; 0 when the bitsets are not
+  /// built (past kBitsetStates).
+  std::size_t bitset_words() const { return words_; }
+  /// Row q of active_bits: bit r set iff (q, r) is active. Needs bitsets.
+  const std::uint64_t* active_row(pp::State q) const {
+    return t_.active_bits.data() + static_cast<std::size_t>(q) * words_;
+  }
+  /// Row r of active_cols: bit q set iff (q, r) is active. Needs bitsets.
+  const std::uint64_t* active_col(pp::State r) const {
+    return t_.active_cols.data() + static_cast<std::size_t>(r) * words_;
+  }
+  /// Equal for two states exactly when their active columns are equal.
+  /// Needs bitsets.
+  std::uint32_t col_class(pp::State r) const { return t_.col_class[r]; }
+
+  /// True iff (q, r) has a non-silent candidate. O(1) via the bitset rows
+  /// when built, O(log out-degree) binary search beyond kBitsetStates.
   bool pair_active(pp::State q, pp::State r) const {
-    if (!t_.active_bits.empty()) {
-      const std::size_t bit =
-          static_cast<std::size_t>(q) * t_.num_states + r;
-      return (t_.active_bits[bit >> 6] >> (bit & 63)) & 1;
-    }
+    if (words_ != 0) return (active_row(q)[r >> 6] >> (r & 63)) & 1;
     const auto partners = partners_of(q);
     return std::binary_search(partners.begin(), partners.end(), r);
   }
@@ -205,9 +230,12 @@ class CompiledProtocol {
   }
 
  private:
-  explicit CompiledProtocol(RawTables tables) : t_(std::move(tables)) {}
+  explicit CompiledProtocol(RawTables tables)
+      : t_(std::move(tables)),
+        words_(t_.active_bits.empty() ? 0 : (t_.num_states + 63) / 64) {}
 
   RawTables t_;
+  std::size_t words_;
 };
 
 }  // namespace ppde::isa

@@ -354,9 +354,9 @@ class LinearScanOracle {
 
 // A 40-state "carousel" (every meeting advances the responder one state):
 // all 1600 ordered pairs are active and the populated list fluctuates
-// around 40 slots — past kLinearSlots and kMatrixSlots/2 — so the engine's
-// wide-population counting and swap-remove surgery all run, not just the
-// small-population paths.
+// around 40 slots — past kLinearSlots — so the engine's wide-population
+// counting and swap-remove surgery all run, not just the small-population
+// paths.
 pp::Protocol make_carousel_protocol(std::uint32_t n) {
   pp::Protocol protocol;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -381,10 +381,16 @@ std::size_t populated_states(const pp::Config& config) {
 }
 
 /// Ring protocol over `n` states: (i, i) -> (i, i+1 mod n). From a uniform
-/// start every state is populated, so with n > 64 the populated list never
-/// fits the activity masks; at 600 states the compiler also picks the
-/// perfect-hash pair lookup over the dense table.
-pp::Protocol make_ring(std::uint32_t n) {
+/// start every state is populated. At 600 states the compiler picks the
+/// perfect-hash pair lookup over the dense table; past
+/// CompiledProtocol::kBitsetStates it builds no pair bitsets, so the count
+/// engine runs its adjacency-list fallback. With `hub`, state 0 also
+/// pushes every state from 2 on one step round the ring, (0, r) -> (0,
+/// r+1 mod n): state 0 never empties, so agents keep moving, states empty
+/// and fill for as long as the run lasts, and state 0's partner row is
+/// longer than any sparse populated list yet misses state 1, which the
+/// hub's own (0, 0) meetings keep populating.
+pp::Protocol make_ring(std::uint32_t n, bool hub = false) {
   pp::Protocol protocol;
   for (std::uint32_t i = 0; i < n; ++i)
     protocol.add_state("s" + std::to_string(i));
@@ -392,9 +398,20 @@ pp::Protocol make_ring(std::uint32_t n) {
     protocol.mark_input(i);
     if (i % 2 == 0) protocol.mark_accepting(i);
     protocol.add_transition(i, i, i, (i + 1) % n);
+    if (hub && i >= 2) protocol.add_transition(0, i, 0, (i + 1) % n);
   }
   protocol.finalize();
   return protocol;
+}
+
+/// Three agents on the hub and one on every `gap`-th state: with a gap
+/// wider than a 64-state bitset word, whole words empty and fill as the
+/// hub pushes agents round the ring.
+pp::Config sparse_hub_initial(const pp::Protocol& ring, std::uint32_t gap) {
+  pp::Config initial(ring.num_states());
+  initial.add(0, 3);
+  for (pp::State q = gap; q < ring.num_states(); q += gap) initial.add(q, 1);
+  return initial;
 }
 
 pp::Config uniform_initial(const pp::Protocol& protocol, std::uint32_t per) {
@@ -419,9 +436,8 @@ pp::Protocol make_silent_pair_protocol() {
 }
 
 /// A 120-state carousel with three agents on each of states 0..59: the
-/// populated list starts at 60 slots and spreads past the 64-slot mask
-/// capacity, so a run crosses from the mask path to the matrix-less
-/// fallback mid-trajectory.
+/// populated list starts at 60 slots and spreads past 64, so a run
+/// populates states in both of the protocol's bitset words.
 pp::Config spreading_carousel_initial(const pp::Protocol& carousel) {
   pp::Config initial(carousel.num_states());
   for (pp::State q = 0; q < 60; ++q) initial.add(q, 3);
@@ -722,17 +738,20 @@ TEST(Ensemble, FleetRethrowsBodyExceptions) {
 
 TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   // The tentpole contract: same seed, same trajectory, bit for bit — the
-  // flat-weight/mask machinery may only change how fast the next firing
+  // flat-weight/bitset machinery may only change how fast the next firing
   // is found, never which firing it is. The protocols cover the regimes:
   // tiny two-state, the 4-state majority (a small and a 980-agent
   // population), flock k = 3, the converted Czerner n = 1 (≈880 states,
   // ~24 populated, heavy populate/depopulate churn) at +400, +6 and |F| + 2
   // agents (the certify statement, where almost every firing populates or
   // depopulates a state), a 40-state carousel that pushes past
-  // kLinearSlots, a 120-state carousel whose populated list outgrows the
-  // 64 activity-mask slots mid-run, rings of 100 and 600 states that start
-  // past the masks (the 600-state ring on the perfect-hash pair lookup),
-  // and a protocol with a silent-only pair.
+  // kLinearSlots, a 120-state carousel whose populated list spreads from
+  // 60 to past 64 states, rings of 100 and 600 states with every state
+  // populated (the 600-state ring on the perfect-hash pair lookup), a
+  // 5,000-state hub ring whose 79-word bitsets need both summary words,
+  // rings past kBitsetStates that run the bitset-less fallback (the plain
+  // ring walks partner rows; the hub ring's hub walks the sorted populated
+  // list), and a protocol with a silent-only pair.
   const pp::Protocol opinion = make_opinion_protocol();
   const pp::Protocol majority = baselines::make_majority();
   const pp::Protocol flock = baselines::make_flock_of_birds(3);
@@ -746,6 +765,14 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   const pp::Protocol small_ring = make_ring(100);
   const pp::Protocol big_ring = make_ring(600);
   ASSERT_TRUE(big_ring.compiled().raw().dense.empty());
+  const pp::Protocol hub_ring = make_ring(5'000, true);
+  ASSERT_GT(hub_ring.compiled().bitset_words(), 64u);
+  constexpr auto kPastBitsets =
+      static_cast<std::uint32_t>(PairIndex::kBitsetStates) + 8;
+  const pp::Protocol huge_ring = make_ring(kPastBitsets);
+  const pp::Protocol huge_hub_ring = make_ring(kPastBitsets, true);
+  ASSERT_EQ(huge_ring.compiled().bitset_words(), 0u);
+  ASSERT_EQ(huge_hub_ring.compiled().bitset_words(), 0u);
   const pp::Protocol silent_pair = make_silent_pair_protocol();
   pp::Config silent_initial(silent_pair.num_states());
   silent_initial.add(silent_pair.state("a"), 5);
@@ -755,7 +782,7 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
     const pp::Protocol* protocol;
     pp::Config initial;
     int steps;
-    bool crosses_mask_capacity;
+    bool spreads_past_64;
   };
   const Case cases[] = {
       {&opinion, opinion_initial(opinion, 5, 4), 4'000, false},
@@ -773,6 +800,9 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
       {&wide_carousel, spreading_carousel_initial(wide_carousel), 3'000, true},
       {&small_ring, uniform_initial(small_ring, 3), 30'000, false},
       {&big_ring, uniform_initial(big_ring, 2), 10'000, false},
+      {&hub_ring, sparse_hub_initial(hub_ring, 97), 20'000, false},
+      {&huge_ring, uniform_initial(huge_ring, 2), 4'000, false},
+      {&huge_hub_ring, sparse_hub_initial(huge_hub_ring, 97), 20'000, false},
       {&silent_pair, silent_initial, 2'000, false},
   };
   for (const Case& test_case : cases) {
@@ -784,7 +814,7 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
                            options);
         LinearScanOracle oracle(*test_case.protocol, test_case.initial, seed,
                                 null_skip);
-        if (test_case.crosses_mask_capacity) {
+        if (test_case.spreads_past_64) {
           ASSERT_LE(populated_states(sim.config()), 64u);
         }
         std::size_t widest = 0;
@@ -799,15 +829,15 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
           oracle.step();
           ASSERT_EQ(sim.interactions(), oracle.interactions()) << where(step);
           ASSERT_EQ(sim.metrics().firings, oracle.firings()) << where(step);
-          if (test_case.crosses_mask_capacity)
+          if (test_case.spreads_past_64)
             widest = std::max(widest, populated_states(sim.config()));
           if (step % 64 == 0 || step + 1 == test_case.steps) {
             ASSERT_EQ(sim.config(), oracle.config()) << where(step);
           }
         }
         ASSERT_EQ(sim.metrics().meetings, oracle.meetings());
-        if (test_case.crosses_mask_capacity) {
-          EXPECT_GT(widest, 64u) << "the run never left the mask path";
+        if (test_case.spreads_past_64) {
+          EXPECT_GT(widest, 64u) << "the run never spread past 64 states";
         }
       }
     }
@@ -945,9 +975,8 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
     EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
     EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
   }
-  // A run whose populated list outgrew the 64 activity-mask slots leaves
-  // the simulator on the matrix-less fallback; reset must restore the mask
-  // path from scratch.
+  // A run whose populated list spread past 64 states leaves bits in both
+  // words of the populated bitset; reset must clear every one of them.
   const pp::Protocol carousel = make_carousel_protocol(120);
   pp::Config narrow(carousel.num_states());
   for (pp::State q = 0; q < 10; ++q) narrow.add(q, 3);
@@ -969,6 +998,25 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
   EXPECT_EQ(fresh.metrics().firings, reused.metrics().firings);
   EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
   EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
+
+  // Past kBitsetStates the simulator keeps a sorted populated list
+  // instead; reset must empty it too.
+  const pp::Protocol hub_ring =
+      make_ring(static_cast<std::uint32_t>(PairIndex::kBitsetStates) + 8, true);
+  const pp::Config sparse = sparse_hub_initial(hub_ring, 97);
+  CountSimulator fresh_hub(hub_ring, sparse, 77);
+  CountSimulator reused_hub(hub_ring, sparse_hub_initial(hub_ring, 61), 5);
+  for (int step = 0; step < 2'000; ++step) reused_hub.step();
+  reused_hub.reset(sparse, 77);
+  for (int step = 0; step < 2'000; ++step) {
+    fresh_hub.step();
+    reused_hub.step();
+  }
+  EXPECT_EQ(fresh_hub.config(), reused_hub.config());
+  EXPECT_EQ(fresh_hub.interactions(), reused_hub.interactions());
+  EXPECT_EQ(fresh_hub.metrics().firings, reused_hub.metrics().firings);
+  EXPECT_EQ(fresh_hub.metrics().weight_updates,
+            reused_hub.metrics().weight_updates);
 }
 
 TEST(CountSimulator, MetricsObserveTheIncrementalPath) {

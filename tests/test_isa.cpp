@@ -7,9 +7,11 @@
 // VerifierOracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -152,9 +154,22 @@ TEST(CompiledProtocol, RawTablesRoundTripThroughAdopt) {
   }
 }
 
+/// adopt() must throw std::invalid_argument naming `what`.
+void expect_rejected(CompiledProtocol::RawTables bad, const std::string& what) {
+  try {
+    (void)CompiledProtocol::adopt(std::move(bad));
+    ADD_FAILURE() << "adopt() accepted tables with: " << what;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(CompiledProtocol, AdoptRejectsMalformedTables) {
   const pp::Protocol majority = baselines::make_majority();
   const CompiledProtocol::RawTables good = majority.compiled().raw();
+  ASSERT_FALSE(good.active_bits.empty());
+  ASSERT_EQ(good.active_bits.size(), good.num_states);  // one word per row
 
   {  // Bad opcode.
     CompiledProtocol::RawTables bad = good;
@@ -199,6 +214,51 @@ TEST(CompiledProtocol, AdoptRejectsMalformedTables) {
     bad.ph_entry.assign(2, CompiledProtocol::kAbsent);
     EXPECT_THROW((void)CompiledProtocol::adopt(std::move(bad)),
                  std::invalid_argument);
+  }
+  // The pair bitsets steer the count engine's walks, so one wrong bit
+  // would send its responder walk to a pair without a position.
+  {  // A flipped row bit: (0, 0) marked active or inactive against the CSR.
+    CompiledProtocol::RawTables bad = good;
+    bad.active_bits[0] ^= 1;
+    expect_rejected(std::move(bad), "active_bits row disagrees");
+  }
+  {  // A flipped column bit.
+    CompiledProtocol::RawTables bad = good;
+    bad.active_cols[1] ^= 1;
+    expect_rejected(std::move(bad), "active_cols row disagrees");
+  }
+  {  // Two column classes merged although the columns differ.
+    CompiledProtocol::RawTables bad = good;
+    const auto other = std::find_if(
+        bad.col_class.begin() + 1, bad.col_class.end(),
+        [&](std::uint32_t c) { return c != bad.col_class[0]; });
+    ASSERT_NE(other, bad.col_class.end());
+    *other = bad.col_class[0];
+    expect_rejected(std::move(bad), "col_class");
+  }
+  {  // An in CSR that is not the out CSR's transpose: a one-initiator
+     // column names a different initiator (still sorted and in range), and
+     // active_cols is rewritten to agree with it.
+    CompiledProtocol::RawTables bad = good;
+    pp::State r = 0;
+    while (r < bad.num_states && bad.in_begin[r + 1] - bad.in_begin[r] != 1)
+      ++r;
+    ASSERT_LT(r, bad.num_states);
+    auto& initiator = bad.in_flat[bad.in_begin[r]];
+    bad.active_cols[r] ^= std::uint64_t{1} << initiator;
+    initiator = (initiator + 1) % bad.num_states;
+    bad.active_cols[r] ^= std::uint64_t{1} << initiator;
+    expect_rejected(bad, "not the transpose");
+    // Tables without bitsets (past kBitsetStates) check the CSRs directly.
+    bad.active_bits.clear();
+    bad.active_cols.clear();
+    bad.col_class.clear();
+    expect_rejected(std::move(bad), "not the transpose");
+  }
+  {  // any_bits is no longer built; filled-in tables are refused.
+    CompiledProtocol::RawTables bad = good;
+    bad.any_bits.assign(1, 0);
+    expect_rejected(std::move(bad), "any_bits");
   }
 }
 
@@ -301,7 +361,7 @@ TEST(Differential, PerAgentTrajectoriesBitIdentical) {
       conv.protocol, conv.initial_config(conv.num_pointers + 4), 20'000);
 }
 
-TEST(Differential, SilentOnlyPairsAreNullInBothModes) {
+TEST(Differential, SilentOnlyPairsAreNullOnBothEngines) {
   // (a, b) has only the identity transition: the meeting must not fire on
   // the per-agent simulator or on the count engine, and the per-agent
   // trajectory must stay aligned with the map interpreter.
@@ -341,7 +401,7 @@ TEST(Differential, SilentOnlyPairsAreNullInBothModes) {
 // ---------------------------------------------------------------------------
 // Certification.
 
-TEST(Differential, CertificateDigestIdenticalAcrossDispatchAndThreads) {
+TEST(Differential, CertificateDigestIdenticalAcrossThreads) {
   const auto conv = compile::machine_to_protocol(
       compile::lower_program(czerner::build_construction(1).program).machine);
   const pp::Config initial = conv.initial_config(conv.num_pointers + 2);

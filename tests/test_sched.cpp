@@ -394,7 +394,7 @@ TEST_F(CertifyN1, ScenarioScopesTheDigest) {
   EXPECT_NE(smc::describe(ring).find("ring"), std::string::npos);
 }
 
-TEST_F(CertifyN1, ScenarioDigestIsThreadAndDispatchIndependent) {
+TEST_F(CertifyN1, ScenarioDigestIsThreadIndependent) {
   smc::CertifyOptions options = cheap_options();
   options.scenario = Scenario::parse("biased:4+corrupt:0.0001");
   options.threads = 1;

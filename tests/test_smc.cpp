@@ -229,7 +229,7 @@ TEST(Certify, DifferentialAgainstExactVerifierOnTinyPopulations) {
   }
 }
 
-TEST(Certify, DigestIsIndependentOfThreadCountAndBatch) {
+TEST(Certify, PayloadIsIndependentOfThreadCountAndBatchSize) {
   const pp::Protocol flock = baselines::make_flock_of_birds(4);
   const pp::Config initial = baselines::flock_initial(flock, 6);
   CertifyOptions options = fast_options();
