@@ -46,7 +46,6 @@ CountSimulator::CountSimulator(const pp::Protocol& protocol,
   if (words_ != 0) {
     rows_ = compiled.active_row(0);
     cols_ = compiled.active_col(0);
-    col_class_ = &compiled.raw().col_class[0];
     populated_bits_.assign(words_, 0);
   }
   load(initial);
@@ -108,12 +107,14 @@ inline pp::State CountSimulator::find_populated(Word word, Stop stop) const {
 }
 
 inline void CountSimulator::mark_populated(pp::State q) {
+  watcher_valid_ = 0;
   const std::size_t w = q >> 6;
   populated_bits_[w] |= std::uint64_t{1} << (q & 63);
   summary_[w >> 6] |= std::uint64_t{1} << (w & 63);
 }
 
 inline void CountSimulator::unmark_populated(pp::State q) {
+  watcher_valid_ = 0;
   const std::size_t w = q >> 6;
   populated_bits_[w] &= ~(std::uint64_t{1} << (q & 63));
   if (populated_bits_[w] == 0)
@@ -197,12 +198,9 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
   const bool appearing = position_[state] == kNoPosition;  // delta > 0 then
   if (words_ != 0) {
     const std::uint64_t* col = cols_ + state * words_;
-    for_each_populated([col](std::size_t w) { return col[w]; },
-                       [&](pp::State q) {
-                         const std::uint32_t slot = position_[q];
-                         partner_sum_[slot] += shift;
-                         refresh_weight(slot);
-                       });
+    for_each_populated(
+        [col](std::size_t w) { return col[w]; },
+        [&](pp::State q) { move_partner_sum(position_[q], shift); });
   } else if (const auto initiators = index_->initiators_meeting(state);
              initiators.size() <= populated_.size()) {
     // Bitset-less fallback: walk whichever side is shorter — the
@@ -210,15 +208,12 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     // slots are the same.
     for (pp::State p : initiators) {
       const std::uint32_t slot = position_[p];
-      if (slot == kNoPosition) continue;
-      partner_sum_[slot] += shift;
-      refresh_weight(slot);
+      if (slot != kNoPosition) move_partner_sum(slot, shift);
     }
   } else {
     for (std::uint32_t slot = 0; slot < populated_.size(); ++slot) {
-      if (!index_->pair_active(populated_[slot], state)) continue;
-      partner_sum_[slot] += shift;
-      refresh_weight(slot);
+      if (index_->pair_active(populated_[slot], state))
+        move_partner_sum(slot, shift);
     }
   }
 
@@ -263,34 +258,53 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
   }
 }
 
+void CountSimulator::fill_watcher_slots(std::uint32_t slot) {
+  std::uint64_t slots = 0;
+  const std::uint64_t* col = cols_ + populated_[slot] * words_;
+  for_each_populated([col](std::size_t w) { return col[w]; },
+                     [&](pp::State q) {
+                       slots |= std::uint64_t{1} << position_[q];
+                     });
+  watcher_memo_[slot] = slots;
+  watcher_valid_ |= std::uint64_t{1} << slot;
+}
+
+inline std::uint64_t CountSimulator::watcher_slots(std::uint32_t slot) {
+  if (((watcher_valid_ >> slot) & 1) == 0) [[unlikely]]
+    fill_watcher_slots(slot);
+  return watcher_memo_[slot];
+}
+
 void CountSimulator::shift_pair(pp::State from, pp::State to) {
   // Fused fast path for the dominant firing shape on the converted
-  // protocols: one agent moves between two already-populated states and
-  // both stay populated, so no list surgery can occur. Beyond halving the
-  // fixed bookkeeping, the fusion makes the typical firing nearly
-  // update-free: an initiator active towards both `from` and `to` sees the
-  // two partner-sum shifts cancel exactly, leaving only the two moved
-  // slots' own weights to refresh — and a register state with no partners
-  // of its own keeps weight 0, a no-op weight update.
+  // protocols: one agent moves between two populated states and both stay
+  // populated, so no list surgery occurs, and an initiator watching both
+  // sees its two partner-sum shifts cancel — leaving only the watchers of
+  // exactly one state and the two moved slots' own weights to refresh.
   if (words_ != 0 && counts_[from] > 1 && position_[to] != kNoPosition) {
     counts_.remove(from, 1);
     counts_.add(to, 1);
     if (protocol_->is_accepting(from)) --accepting_;
     if (protocol_->is_accepting(to)) ++accepting_;
-    // Initiators watching exactly one of the two states are the XOR of the
-    // two columns — nothing to walk when the columns are equal, the
-    // typical firing, where the same initiators watch both registers.
-    if (col_class_[from] != col_class_[to]) {
+    // Those watchers are the XOR of the two columns: of memoised slot
+    // masks up to kMemoSlots populated states, else of the columns walked
+    // directly. A watcher of `to` gains a partner: 2·gain − 1 = ±1.
+    if (populated_.size() <= kMemoSlots) {
+      const std::uint64_t gained = watcher_slots(position_[to]);
+      for (std::uint64_t changed = watcher_slots(position_[from]) ^ gained;
+           changed != 0; changed &= changed - 1) {
+        const auto slot =
+            static_cast<std::uint32_t>(std::countr_zero(changed));
+        move_partner_sum(slot, ((gained >> slot) & 1) * 2 - 1);
+      }
+    } else {
       const std::uint64_t* lost = cols_ + from * words_;
       const std::uint64_t* gained = cols_ + to * words_;
       for_each_populated(
           [lost, gained](std::size_t w) { return lost[w] ^ gained[w]; },
           [&](pp::State q) {
-            const std::uint32_t slot = position_[q];
-            partner_sum_[slot] += (gained[q >> 6] >> (q & 63)) & 1
-                                      ? std::uint64_t{1}
-                                      : ~std::uint64_t{0};  // ±1
-            refresh_weight(slot);
+            const std::uint64_t gain = (gained[q >> 6] >> (q & 63)) & 1;
+            move_partner_sum(position_[q], gain * 2 - 1);
           });
     }
     refresh_weight(position_[from]);

@@ -27,16 +27,14 @@
 // its running total W, so a firing — which changes at most four counts,
 // each touching only the populated states adjacent to it — costs
 // O(#populated) instead of a full rescan plus an O(in-degree) adjacency
-// walk per count change. Which populated states are adjacent comes from
-// the compiled tables' word-aligned pair bitsets, ANDed with a bitset of
-// the populated states (kept beside the slot list, with a summary word —
-// two past 4,096 states — marking its non-zero words): a count change
-// walks its column's populated watchers, the responder walk its row's
-// populated partners — already in ascending state order — and a state
-// entering or leaving the populated list flips one bit. The fused shift
-// of one agent between two populated states walks the XOR of their
-// columns, or nothing when the compiled column classes say the columns
-// are equal. Slots are selected by the seed engine's linear
+// walk per count change. Adjacency comes from the compiled tables'
+// word-aligned pair bitsets ANDed with a populated-state bitset (plus a
+// summary of its non-zero words): a count change walks its column's
+// populated watchers, the responder walk its row's populated partners in
+// ascending state order, and (de)populating a state flips one bit. Up to
+// 64 populated states, the fused shift of one agent between two of them
+// XORs the two columns' watchers as slot masks memoised until the
+// populated set changes. Slots are selected by the seed engine's linear
 // prefix scans, so the sequence of *configurations*, firings and
 // consensus times for a given seed is bit-identical to the seed engine
 // (test_engine keeps it as the LinearScanOracle) — and distributed
@@ -210,6 +208,11 @@ class CountSimulator {
   std::uint64_t fresh_partner_sum(pp::State q) const;
   /// Store slot's weight C(q)·A(q) and move W with it.
   void refresh_weight(std::uint32_t slot);
+  /// Add `delta` (two's complement) to slot's partner sum, then refresh.
+  void move_partner_sum(std::uint32_t slot, std::uint64_t delta) {
+    partner_sum_[slot] += delta;
+    refresh_weight(slot);
+  }
   /// Memoise p = W/(m·(m−1)) and log1p(−p) for the current (W, m);
   /// returns true iff p < 1, i.e. a geometric draw is actually needed.
   bool geom_prepare(std::uint64_t active);
@@ -241,7 +244,15 @@ class CountSimulator {
       return false;
     });
   }
-  /// Set or clear state q in the populated bitset and its summary.
+  /// The populated watchers of state populated_[slot] — its column ANDed
+  /// with the populated bitset — as a mask of their slots, memoised until
+  /// the populated set changes. Needs the bitsets and at most kMemoSlots
+  /// populated states.
+  std::uint64_t watcher_slots(std::uint32_t slot);
+  /// watcher_slots' walk, out of line: once per slot and populated set.
+  void fill_watcher_slots(std::uint32_t slot);
+  /// Set or clear state q in the populated bitset and its summary (which
+  /// invalidates every watcher_slots memo).
   void mark_populated(pp::State q);
   void unmark_populated(pp::State q);
   /// Pick a candidate of active pair `pos` (a uniform draw when it has
@@ -290,12 +301,11 @@ class CountSimulator {
   std::vector<std::uint64_t> weight_;
   std::uint64_t weight_total_ = 0;
   /// The compiled pair bitsets (isa::CompiledProtocol::active_row /
-  /// active_col / col_class), or null with words_ == 0 past kBitsetStates.
+  /// active_col), or null with words_ == 0 past kBitsetStates.
   /// words_ is W = ⌈|Q|/64⌉, the length of every row, column and of
   /// populated_bits_.
   const std::uint64_t* rows_ = nullptr;
   const std::uint64_t* cols_ = nullptr;
-  const std::uint32_t* col_class_ = nullptr;
   std::size_t words_ = 0;
   /// Bit q set iff C(q) > 0 — populated_ as a bitset indexed by state, so
   /// a row or column ANDed with it yields the populated partners or
@@ -303,6 +313,12 @@ class CountSimulator {
   /// is non-zero; two words cover kBitsetStates / 64 = 128 words.
   std::vector<std::uint64_t> populated_bits_;
   std::array<std::uint64_t, 2> summary_{};
+  /// watcher_slots' memo, one mask per slot; bit s of watcher_valid_ is
+  /// set iff watcher_memo_[s] is current. Slots move only when the
+  /// populated set changes, which clears every bit.
+  static constexpr std::size_t kMemoSlots = 64;
+  std::array<std::uint64_t, kMemoSlots> watcher_memo_{};
+  std::uint64_t watcher_valid_ = 0;
   /// The populated states in ascending order, kept only past
   /// kBitsetStates (empty otherwise) for the fallback's responder walk.
   std::vector<pp::State> sorted_populated_;

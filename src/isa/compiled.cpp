@@ -84,9 +84,13 @@ void build_perfect_hash(
   }
 }
 
-void check(bool condition, const char* what) {
-  if (!condition)
-    throw std::invalid_argument(std::string("CompiledProtocol: ") + what);
+[[noreturn, gnu::cold, gnu::noinline]] void fail(const char* what) {
+  throw std::invalid_argument(std::string("CompiledProtocol: ") + what);
+}
+
+/// Inlined: validate() runs millions of checks on a large table.
+inline void check(bool condition, const char* what) {
+  if (!condition) [[unlikely]] fail(what);
 }
 
 /// Monotone CSR offsets covering [0, flat_size] with `rows` rows.
@@ -96,42 +100,6 @@ void check_csr(const std::vector<std::uint32_t>& begin, std::size_t rows,
   check(begin.front() == 0 && begin.back() == flat_size, what);
   for (std::size_t i = 0; i + 1 < begin.size(); ++i)
     check(begin[i] <= begin[i + 1], what);
-}
-
-/// Canonical column classes: each state maps to the least state with the
-/// same active_cols row (`words` words each). States are sorted by a hash
-/// of their column, then by state, so within a run of equal hashes the
-/// first state holding each distinct column is its least.
-std::vector<std::uint32_t> column_classes(const CompiledProtocol::RawTables& t,
-                                          std::size_t words) {
-  const auto column = [&](pp::State r) {
-    return std::span<const std::uint64_t>(t.active_cols.data() + r * words,
-                                          words);
-  };
-  std::vector<std::pair<std::uint64_t, pp::State>> keyed(t.num_states);
-  for (pp::State r = 0; r < t.num_states; ++r) {
-    std::uint64_t hash = 0;
-    for (const std::uint64_t word : column(r))
-      hash = CompiledProtocol::mix(hash ^ word);
-    keyed[r] = {hash, r};
-  }
-  std::sort(keyed.begin(), keyed.end());
-  std::vector<std::uint32_t> classes(t.num_states);
-  std::vector<pp::State> run;  // distinct columns of this hash, least first
-  for (std::size_t i = 0; i < keyed.size(); ++i) {
-    if (i == 0 || keyed[i].first != keyed[i - 1].first) run.clear();
-    const pp::State r = keyed[i].second;
-    const auto same = std::find_if(run.begin(), run.end(), [&](pp::State c) {
-      return std::ranges::equal(column(c), column(r));
-    });
-    if (same != run.end()) {
-      classes[r] = *same;
-      continue;
-    }
-    run.push_back(r);
-    classes[r] = r;
-  }
-  return classes;
 }
 
 /// Transpose a 64×64 bit block in place: bit j of b[k] becomes bit k of
@@ -146,36 +114,35 @@ void transpose_block(std::array<std::uint64_t, 64>& b) {
     }
 }
 
-/// True iff active_cols is the bit transpose of active_bits, compared one
-/// 64×64 block at a time (padding bits past |Q| must be clear in both).
-bool bitsets_transposed(const CompiledProtocol::RawTables& t,
-                        std::size_t words) {
-  const std::size_t n = t.num_states;
+/// The bit transpose of `n` rows of `words` words each (bits past `n` in
+/// the rows are dropped), one 64×64 block at a time.
+std::vector<std::uint64_t> transpose_bits(
+    const std::vector<std::uint64_t>& rows, std::size_t n, std::size_t words) {
+  std::vector<std::uint64_t> cols(n * words);
   std::array<std::uint64_t, 64> block;
   for (std::size_t bi = 0; bi < words; ++bi)
     for (std::size_t bj = 0; bj < words; ++bj) {
       for (std::size_t k = 0; k < 64; ++k) {
         const std::size_t q = bi * 64 + k;
-        block[k] = q < n ? t.active_bits[q * words + bj] : 0;
+        block[k] = q < n ? rows[q * words + bj] : 0;
       }
       transpose_block(block);
-      for (std::size_t k = 0; k < 64; ++k) {
-        const std::size_t r = bj * 64 + k;
-        if (block[k] != (r < n ? t.active_cols[r * words + bi] : 0))
-          return false;
-      }
+      for (std::size_t k = 0; k < 64 && bj * 64 + k < n; ++k)
+        cols[(bj * 64 + k) * words + bi] = block[k];
     }
-  return true;
+  return cols;
 }
 
-bool has_bit(const std::uint64_t* row, std::uint32_t i) {
-  return (row[i >> 6] >> (i & 63)) & 1;
-}
-
-std::size_t row_popcount(const std::uint64_t* row, std::size_t words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < words; ++w) count += std::popcount(row[w]);
-  return count;
+/// One bitset row of `words` words per CSR row: bit j of row i set iff j
+/// is listed in row i (entries must be < `words` · 64).
+std::vector<std::uint64_t> csr_bits(const std::vector<std::uint32_t>& begin,
+                                    const std::vector<std::uint32_t>& flat,
+                                    std::size_t words) {
+  std::vector<std::uint64_t> bits((begin.size() - 1) * words, 0);
+  for (std::size_t i = 0; i + 1 < begin.size(); ++i)
+    for (std::uint32_t p = begin[i]; p < begin[i + 1]; ++p)
+      bits[i * words + (flat[p] >> 6)] |= std::uint64_t{1} << (flat[p] & 63);
+  return bits;
 }
 
 void validate(const CompiledProtocol::RawTables& t) {
@@ -187,23 +154,21 @@ void validate(const CompiledProtocol::RawTables& t) {
   check(t.self_active.size() == n, "self_active size");
   check_csr(t.cand_begin, pairs, t.cand_flat.size(), "malformed cand CSR");
   check(t.cells.size() == t.cand_flat.size(), "cells/cand size mismatch");
-  // Pair bitsets and column classes: all or none, sized for |Q|; below,
-  // each is checked against the CSRs — the engine walks them instead.
+  // Pair bitsets: both or neither, sized for |Q|; below, each is checked
+  // against the CSRs — the engine walks them instead.
   check(t.any_bits.empty(), "any_bits must be empty");
   const bool bitsets = !t.active_bits.empty();
   const std::size_t words = (n + 63) / 64;
   if (bitsets) {
     check(n <= CompiledProtocol::kBitsetStates, "bitsets past kBitsetStates");
     check(t.active_bits.size() == n * words &&
-              t.active_cols.size() == n * words && t.col_class.size() == n,
+              t.active_cols.size() == n * words,
           "bitset size");
   } else {
-    check(t.active_cols.empty() && t.col_class.empty(),
-          "bitsets and column classes: all or none");
+    check(t.active_cols.empty(), "pair bitsets: both or neither");
   }
   for (pp::State q = 0; q < n; ++q) {
     const auto* flat = t.out_flat.data();
-    const std::uint64_t* row = bitsets ? &t.active_bits[q * words] : nullptr;
     for (std::uint32_t p = t.out_begin[q]; p < t.out_begin[q + 1]; ++p) {
       check(flat[p] < n, "partner out of range");
       check(p == t.out_begin[q] || flat[p - 1] < flat[p],
@@ -213,35 +178,26 @@ void validate(const CompiledProtocol::RawTables& t) {
                                                    "candidates");
       check((q == flat[p]) == false || t.self_active[q] != 0,
             "self_active inconsistent");
-      check(!bitsets || has_bit(row, flat[p]),
-            "active_bits row disagrees with the out CSR");
     }
-    // Distinct listed bits all set, and no others: the row is the list.
-    check(!bitsets ||
-              row_popcount(row, words) == t.out_begin[q + 1] - t.out_begin[q],
-          "active_bits row disagrees with the out CSR");
-    const std::uint64_t* col = bitsets ? &t.active_cols[q * words] : nullptr;
     for (std::uint32_t p = t.in_begin[q]; p < t.in_begin[q + 1]; ++p) {
       check(t.in_flat[p] < n, "initiator out of range");
       check(p == t.in_begin[q] || t.in_flat[p - 1] < t.in_flat[p],
             "initiators not strictly ascending");
-      check(!bitsets || has_bit(col, t.in_flat[p]),
-            "active_cols row disagrees with the in CSR");
     }
-    check(!bitsets ||
-              row_popcount(col, words) == t.in_begin[q + 1] - t.in_begin[q],
-          "active_cols row disagrees with the in CSR");
   }
   // The in CSR is the out CSR's transpose. With the bitsets equal to the
-  // CSRs that is one bit-matrix transpose; without them, walk the
-  // initiators in ascending order: each active (q, r) must be next in r's
-  // list, and both CSRs hold `pairs` entries, so every in entry is matched
-  // exactly once.
+  // CSRs (strictly ascending rows, so no entry is lost to a repeat) that
+  // is one bit-matrix transpose; without them, walk the initiators in
+  // ascending order: each active (q, r) must be next in r's list, and
+  // both CSRs hold `pairs` entries, so every in entry is matched exactly
+  // once.
   if (bitsets) {
-    check(bitsets_transposed(t, words),
+    check(t.active_bits == csr_bits(t.out_begin, t.out_flat, words),
+          "active_bits row disagrees with the out CSR");
+    check(t.active_cols == csr_bits(t.in_begin, t.in_flat, words),
+          "active_cols row disagrees with the in CSR");
+    check(t.active_cols == transpose_bits(t.active_bits, n, words),
           "in CSR is not the transpose of the out CSR");
-    check(t.col_class == column_classes(t, words),
-          "col_class does not name the identical columns");
   } else {
     std::vector<std::uint32_t> next_in(t.in_begin.begin(),
                                        t.in_begin.end() - 1);
@@ -419,15 +375,8 @@ std::shared_ptr<const CompiledProtocol> CompiledProtocol::compile(
 
   if (n <= kBitsetStates) {
     const std::size_t words = (n + 63) / 64;
-    t.active_bits.assign(n * words, 0);
-    t.active_cols.assign(n * words, 0);
-    for (pp::State q = 0; q < n; ++q)
-      for (std::uint32_t p = t.out_begin[q]; p < t.out_begin[q + 1]; ++p) {
-        const pp::State r = t.out_flat[p];
-        t.active_bits[q * words + (r >> 6)] |= std::uint64_t{1} << (r & 63);
-        t.active_cols[r * words + (q >> 6)] |= std::uint64_t{1} << (q & 63);
-      }
-    t.col_class = column_classes(t, words);
+    t.active_bits = csr_bits(t.out_begin, t.out_flat, words);
+    t.active_cols = csr_bits(t.in_begin, t.in_flat, words);
   }
   return adopt(std::move(t));
 }

@@ -22,10 +22,10 @@
 //     isa/exec.hpp executes cells with computed-goto threaded dispatch.
 //   * Adjacency CSRs (partners_of / initiators_meeting), self-pair flags
 //     and, up to kBitsetStates states, word-aligned pair bitsets: one row
-//     of active partners per initiator, its transpose (one column of
-//     watching initiators per responder) and a class per state naming
-//     identical columns. The count engine walks them against its
-//     populated-state bitset; engine::PairIndex is a thin view.
+//     of active partners per initiator and its transpose (one column of
+//     watching initiators per responder). The count engine walks them
+//     against its populated-state bitset; engine::PairIndex is a thin
+//     view.
 //
 // Lowering is pure table construction: candidate order equals
 // Protocol::finalize()'s transition order, so a simulator picking
@@ -121,7 +121,7 @@ class CompiledProtocol {
     std::vector<std::uint32_t> cand_begin;  ///< size P+1
     std::vector<std::uint32_t> cand_flat;
     std::vector<Cell> cells;  ///< parallel to cand_flat
-    /// Pair bitsets, built iff |Q| <= kBitsetStates (all three empty
+    /// Pair bitsets, built iff |Q| <= kBitsetStates (both empty
     /// otherwise). The two bitsets are |Q| rows of W = ⌈|Q|/64⌉ words.
     /// active_bits row q: bit r set iff (q, r) is active — q's partners,
     /// the out CSR row.
@@ -129,10 +129,6 @@ class CompiledProtocol {
     /// active_cols row r: bit q set iff (q, r) is active — the initiators
     /// meeting r, the in CSR row; the transpose of active_bits.
     std::vector<std::uint64_t> active_cols;
-    /// Per state r, the least state whose active_cols row equals r's, so
-    /// two states share a class exactly when the same initiators meet
-    /// them.
-    std::vector<std::uint32_t> col_class;
     // ignored; kept only because perfbench/ reads it
     std::vector<std::uint64_t> any_bits;  ///< always empty
   };
@@ -145,7 +141,7 @@ class CompiledProtocol {
   /// any structural invariant is violated (sizes, CSR monotonicity,
   /// out-of-range indices, unsorted adjacency, an in CSR that is not the
   /// out CSR's transpose, inconsistent cells or lookup tables, pair
-  /// bitsets or column classes that disagree with the CSRs).
+  /// bitsets that disagree with the CSRs).
   static std::shared_ptr<const CompiledProtocol> adopt(RawTables tables);
 
   /// Copy of the flat tables (for round-trip/golden tests and tooling).
@@ -209,9 +205,6 @@ class CompiledProtocol {
   const std::uint64_t* active_col(pp::State r) const {
     return t_.active_cols.data() + static_cast<std::size_t>(r) * words_;
   }
-  /// Equal for two states exactly when their active columns are equal.
-  /// Needs bitsets.
-  std::uint32_t col_class(pp::State r) const { return t_.col_class[r]; }
 
   /// True iff (q, r) has a non-silent candidate. O(1) via the bitset rows
   /// when built, O(log out-degree) binary search beyond kBitsetStates.

@@ -227,15 +227,6 @@ TEST(CompiledProtocol, AdoptRejectsMalformedTables) {
     bad.active_cols[1] ^= 1;
     expect_rejected(std::move(bad), "active_cols row disagrees");
   }
-  {  // Two column classes merged although the columns differ.
-    CompiledProtocol::RawTables bad = good;
-    const auto other = std::find_if(
-        bad.col_class.begin() + 1, bad.col_class.end(),
-        [&](std::uint32_t c) { return c != bad.col_class[0]; });
-    ASSERT_NE(other, bad.col_class.end());
-    *other = bad.col_class[0];
-    expect_rejected(std::move(bad), "col_class");
-  }
   {  // An in CSR that is not the out CSR's transpose: a one-initiator
      // column names a different initiator (still sorted and in range), and
      // active_cols is rewritten to agree with it.
@@ -252,7 +243,6 @@ TEST(CompiledProtocol, AdoptRejectsMalformedTables) {
     // Tables without bitsets (past kBitsetStates) check the CSRs directly.
     bad.active_bits.clear();
     bad.active_cols.clear();
-    bad.col_class.clear();
     expect_rejected(std::move(bad), "not the transpose");
   }
   {  // any_bits is no longer built; filled-in tables are refused.
