@@ -68,10 +68,9 @@ void print_report() {
                                      // guarantee (expected accept, gets
                                      // stuck)
   };
-  const engine::PairIndex index(conv.protocol);
   for (const auto& scenario : scenarios) {
     engine::CountSimulator sim(
-        conv.protocol, index, conv.initial_config(f + scenario.extra),
+        conv.protocol, conv.initial_config(f + scenario.extra),
         191 + scenario.extra + (scenario.remove_register ? 7 : 0));
     // Let the protocol elect and get going, then strike. A frozen run can
     // never un-freeze, so stop early instead of spinning on null meetings.

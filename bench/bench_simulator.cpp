@@ -4,10 +4,10 @@
 // experiment stands on: interactions/second of the random scheduler across
 // protocol shapes and population sizes, and configurations/second of the
 // bottom-SCC verifier. Before the google-benchmark tables this binary
-// prints three engine reports (DESIGN.md S21): per-agent vs count-based vs
-// count+null-skip effective throughput on the converted n=1 Czerner
-// protocol, the states populated and depopulated per firing at the certify
-// population, and ensemble wall-clock scaling over thread counts.
+// prints three engine reports (DESIGN.md S21): per-agent vs count+null-skip
+// effective throughput on the converted n=1 Czerner protocol, the states
+// populated and depopulated per firing at the certify population, and
+// ensemble wall-clock scaling over thread counts.
 //
 // With --json[=path] the binary instead writes a machine-readable engine
 // report (default BENCH_engine.json) and exits — the CI perf-smoke job's
@@ -65,7 +65,7 @@ struct EngineRow {
 
 struct EngineComparison {
   std::uint32_t m;
-  EngineRow rows[3];
+  EngineRow rows[2];
 };
 
 EngineComparison measure_engines(std::uint32_t extra_agents,
@@ -75,8 +75,6 @@ EngineComparison measure_engines(std::uint32_t extra_agents,
   const auto conv = compile::machine_to_protocol(lowered.machine);
   const pp::Config initial =
       conv.initial_config(conv.num_pointers + extra_agents);
-  const engine::PairIndex index(conv.protocol);
-
   EngineComparison result;
   result.m = conv.num_pointers + extra_agents;
 
@@ -91,19 +89,16 @@ EngineComparison measure_engines(std::uint32_t extra_agents,
     result.rows[0] = {"per-agent", sim.interactions(), sim.metrics().firings,
                       elapsed};
   }
-  for (int skip = 0; skip <= 1; ++skip) {
-    engine::CountSimOptions options;
-    options.null_skip = skip != 0;
-    engine::CountSimulator sim(conv.protocol, index, initial, 13, options);
+  {
+    engine::CountSimulator sim(conv.protocol, initial, 13);
     const auto start = std::chrono::steady_clock::now();
     run_for(budget_seconds, [&] { sim.step(); });
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    result.rows[1 + skip] = {skip ? "count+null-skip" : "count-based",
-                             sim.interactions(), sim.metrics().firings,
-                             elapsed};
+    result.rows[1] = {"count+null-skip", sim.interactions(),
+                      sim.metrics().firings, elapsed};
   }
   return result;
 }
@@ -145,7 +140,8 @@ void print_engine_comparison(std::uint32_t extra_agents,
 // tag with the lockstep core: one fleet row per m, scalar. v4 reports
 // also carry count+null-skip step rows at m = |F| + 2, the certify
 // statement's population. Schema v5 drops the "dispatch" column with the
-// interp core: every row runs the one bytecode core.
+// interp core: every row runs the one bytecode core. Schema v6 drops the
+// "count-based" rows with the count engine's plain stepping mode.
 // ---------------------------------------------------------------------------
 
 struct ReportRow {
@@ -189,9 +185,8 @@ ReportRow measure_small_population(const compile::ProtocolConversion& conv,
                                    double budget_seconds) {
   const std::uint32_t m = conv.num_pointers + 2;
   const pp::Config initial = conv.initial_config(m);
-  const engine::PairIndex index(conv.protocol);
   std::uint64_t seed = 13;
-  engine::CountSimulator sim(conv.protocol, index, initial, seed);
+  engine::CountSimulator sim(conv.protocol, initial, seed);
   std::uint64_t firings = 0;
   std::uint64_t meetings = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -249,7 +244,7 @@ int write_json_report(const char* path, double budget_seconds) {
     return 1;
   }
   std::fprintf(out,
-               "{\n  \"bench_engine_v\": 5,\n  \"rows\": [");
+               "{\n  \"bench_engine_v\": 6,\n  \"rows\": [");
   bool first = true;
   for (const ReportRow& row : rows) {
     std::fprintf(out,
@@ -385,20 +380,6 @@ void BM_SimulatorCzernerProtocol(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimulatorCzernerProtocol)->Arg(2)->Arg(16)->Arg(64);
-
-void BM_CountSimulatorCzerner(benchmark::State& state) {
-  const auto lowered =
-      compile::lower_program(czerner::build_construction(1).program);
-  const auto conv = compile::machine_to_protocol(lowered.machine);
-  engine::CountSimOptions options;
-  options.null_skip = false;
-  engine::CountSimulator sim(
-      conv.protocol, conv.initial_config(conv.num_pointers + state.range(0)),
-      13, options);
-  for (auto _ : state) benchmark::DoNotOptimize(sim.step());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountSimulatorCzerner)->Arg(2)->Arg(64)->Arg(10'000);
 
 void BM_CountSimulatorCzernerNullSkip(benchmark::State& state) {
   const auto lowered =

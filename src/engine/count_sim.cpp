@@ -13,39 +13,19 @@
 namespace ppde::engine {
 
 CountSimulator::CountSimulator(const pp::Protocol& protocol,
-                               const pp::Config& initial, std::uint64_t seed,
-                               CountSimOptions options)
-    : CountSimulator(std::make_unique<PairIndex>(protocol), protocol, initial,
-                     seed, options) {}
-
-CountSimulator::CountSimulator(std::unique_ptr<const PairIndex> owned,
-                               const pp::Protocol& protocol,
-                               const pp::Config& initial, std::uint64_t seed,
-                               CountSimOptions options)
-    : CountSimulator(protocol, *owned, initial, seed, options) {
-  owned_index_ = std::move(owned);
-}
-
-CountSimulator::CountSimulator(const pp::Protocol& protocol,
-                               const PairIndex& index,
-                               const pp::Config& initial, std::uint64_t seed,
-                               CountSimOptions options)
+                               const pp::Config& initial, std::uint64_t seed)
     : protocol_(&protocol),
-      index_(&index),
-      options_(options),
+      compiled_(protocol.compiled_ptr()),
       counts_(protocol.num_states()),
       position_(protocol.num_states(), kNoPosition),
       last_fired_(protocol.num_states(), {kNoPosition, 0}),
       rng_(seed) {
   if (!protocol.finalized())
     throw std::logic_error("CountSimulator: protocol not finalized");
-  if (index.num_states() != protocol.num_states())
-    throw std::invalid_argument("CountSimulator: index/protocol mismatch");
-  const isa::CompiledProtocol& compiled = index.compiled();
-  words_ = compiled.bitset_words();
+  words_ = compiled_->bitset_words();
   if (words_ != 0) {
-    rows_ = compiled.active_row(0);
-    cols_ = compiled.active_col(0);
+    rows_ = compiled_->active_row(0);
+    cols_ = compiled_->active_col(0);
     populated_bits_.assign(words_, 0);
   }
   load(initial);
@@ -125,19 +105,19 @@ std::uint64_t CountSimulator::fresh_partner_sum(pp::State q) const {
   // Zero-count partners contribute nothing, so the sum may run over q's
   // populated partners or, without bitsets, over either the partner list or
   // the populated list — whichever is shorter.
-  std::uint64_t sum = index_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
+  std::uint64_t sum = compiled_->self_active(q) ? ~std::uint64_t{0} : 0;  // −1
   if (words_ != 0) {
     const std::uint64_t* row = rows_ + q * words_;
     for_each_populated([row](std::size_t w) { return row[w]; },
                        [&](pp::State r) { sum += counts_[r]; });
     return sum;
   }
-  const auto partners = index_->partners_of(q);
+  const auto partners = compiled_->partners_of(q);
   if (partners.size() <= populated_.size()) {
     for (pp::State r : partners) sum += counts_[r];
   } else {
     for (pp::State r : populated_)
-      if (index_->pair_active(q, r)) sum += counts_[r];
+      if (compiled_->pair_active(q, r)) sum += counts_[r];
   }
   return sum;
 }
@@ -201,7 +181,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     for_each_populated(
         [col](std::size_t w) { return col[w]; },
         [&](pp::State q) { move_partner_sum(position_[q], shift); });
-  } else if (const auto initiators = index_->initiators_meeting(state);
+  } else if (const auto initiators = compiled_->initiators_meeting(state);
              initiators.size() <= populated_.size()) {
     // Bitset-less fallback: walk whichever side is shorter — the
     // in-partner list of `state` or the populated list — the updated
@@ -212,7 +192,7 @@ void CountSimulator::change_count(pp::State state, std::int64_t delta) {
     }
   } else {
     for (std::uint32_t slot = 0; slot < populated_.size(); ++slot) {
-      if (index_->pair_active(populated_[slot], state))
+      if (compiled_->pair_active(populated_[slot], state))
         move_partner_sum(slot, shift);
     }
   }
@@ -317,7 +297,7 @@ void CountSimulator::shift_pair(pp::State from, pp::State to) {
 
 void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
   ++metrics_.firings;
-  const auto cells = index_->pair_cells(pos);
+  const auto cells = compiled_->cells(pos);
   const isa::Cell& cell =
       cells.size() == 1 ? cells[0] : cells[rng_.below(cells.size())];
   // change_count/shift_pair maintain accepting_ themselves, so the cell's
@@ -341,10 +321,8 @@ void CountSimulator::fire_cells(pp::State q, pp::State r, std::uint32_t pos) {
 }
 
 void CountSimulator::apply_active_meeting(std::uint64_t active) {
-  const std::uint64_t target = rng_.below(active);
-  ++metrics_.tree_descents;
   // The seed engine's linear prefix scan over the flat weights.
-  std::uint64_t remaining = target;
+  std::uint64_t remaining = rng_.below(active);
   std::size_t slot = 0;
   while (remaining >= weight_[slot]) remaining -= weight_[slot++];
   const pp::State q = populated_[slot];
@@ -369,23 +347,22 @@ void CountSimulator::apply_active_meeting(std::uint64_t active) {
   if (words_ != 0) {
     const std::uint64_t* row = rows_ + q * words_;
     r = find_populated([row](std::size_t w) { return row[w]; }, absorbs);
-  } else if (const auto partners = index_->partners_of(q);
+  } else if (const auto partners = compiled_->partners_of(q);
              partners.size() <= populated_.size()) {
     r = *std::find_if(partners.begin(), partners.end(), absorbs);
   } else {
     r = *std::find_if(sorted_populated_.begin(), sorted_populated_.end(),
                       [&](pp::State partner) {
-                        return index_->pair_active(q, partner) &&
+                        return compiled_->pair_active(q, partner) &&
                                absorbs(partner);
                       });
   }
   auto& memo = last_fired_[q];
-  if (memo.first != r) memo = {r, index_->compiled().entry_of(q, r)};
+  if (memo.first != r) memo = {r, compiled_->entry_of(q, r)};
   fire_cells(q, r, memo.second);  // (q, r) is active
 }
 
 bool CountSimulator::step() {
-  if (!options_.null_skip) return step_meeting();
   const std::uint64_t active = weight_total_;
   if (active == 0) {
     ++interactions_;
@@ -401,38 +378,6 @@ bool CountSimulator::step() {
     ++metrics_.null_skip_batches;
   }
   apply_active_meeting(active);
-  return true;
-}
-
-bool CountSimulator::step_meeting() {
-  ++interactions_;
-  ++metrics_.meetings;
-  const std::uint64_t m = counts_.total();
-  // Fewer than two agents: there is no ordered pair to meet, so every
-  // meeting is null by definition (and below(m−1) would be below(0)).
-  if (m < 2) return false;
-  // Initiator uniform over agents, responder uniform over the rest — the
-  // same ordered-distinct-pair law as pp::Simulator, on counts, selected
-  // with the seed engine's linear prefix scans.
-  if (populated_.size() > kLinearSlots) metrics_.tree_descents += 2;
-  std::uint64_t i = rng_.below(m);
-  std::uint32_t slot = 0;
-  while (i >= counts_[populated_[slot]]) i -= counts_[populated_[slot++]];
-  const pp::State q = populated_[slot];
-  std::uint64_t j = rng_.below(m - 1);
-  std::uint32_t responder_slot = 0;
-  for (;; ++responder_slot) {
-    const std::uint64_t weight = counts_[populated_[responder_slot]] -
-                                 (responder_slot == slot ? 1 : 0);
-    if (j < weight) break;
-    j -= weight;
-  }
-  const pp::State r = populated_[responder_slot];
-  // A pair without active candidates — absent, or silent-only — is a null
-  // meeting: no firing and no candidate draw, as in pp::Simulator.
-  const std::uint32_t entry = index_->compiled().entry_of(q, r);
-  if (entry >= isa::CompiledProtocol::kSilentOnly) return false;
-  fire_cells(q, r, entry);
   return true;
 }
 
@@ -452,40 +397,36 @@ pp::SimulationResult CountSimulator::run_until_stable(
     result.consensus_since = consensus_start;
   };
   while (interactions_ < budget) {
-    if (options_.null_skip) {
-      const std::uint64_t active = weight_total_;
-      const std::uint64_t stable_at = consensus_start + options.stable_window;
-      if (active == 0) {
-        // Frozen (including any population of size < 2): every future
-        // meeting is null, so the current consensus (or its absence) is
-        // permanent. Realise just enough nulls to hit the window or the
-        // budget.
-        if (held.has_value() && stable_at <= budget) {
-          advance_nulls(stable_at - interactions_);
-          settle();
-        } else {
-          advance_nulls(budget - interactions_);
-        }
-        break;
-      }
-      const std::uint64_t skip = sample_null_run(active);
-      if (held.has_value() && stable_at <= interactions_ + skip) {
-        // The window completes during the null run, before the next firing.
+    const std::uint64_t active = weight_total_;
+    const std::uint64_t stable_at = consensus_start + options.stable_window;
+    if (active == 0) {
+      // Frozen (including any population of size < 2): every future
+      // meeting is null, so the current consensus (or its absence) is
+      // permanent. Realise just enough nulls to hit the window or the
+      // budget.
+      if (held.has_value() && stable_at <= budget) {
         advance_nulls(stable_at - interactions_);
         settle();
-        break;
-      }
-      if (interactions_ + skip >= budget) {
+      } else {
         advance_nulls(budget - interactions_);
-        break;
       }
-      advance_nulls(skip);
-      ++interactions_;
-      ++metrics_.meetings;
-      apply_active_meeting(active);
-    } else {
-      step_meeting();
+      break;
     }
+    const std::uint64_t skip = sample_null_run(active);
+    if (held.has_value() && stable_at <= interactions_ + skip) {
+      // The window completes during the null run, before the next firing.
+      advance_nulls(stable_at - interactions_);
+      settle();
+      break;
+    }
+    if (interactions_ + skip >= budget) {
+      advance_nulls(budget - interactions_);
+      break;
+    }
+    advance_nulls(skip);
+    ++interactions_;
+    ++metrics_.meetings;
+    apply_active_meeting(active);
     const std::optional<bool> now = consensus();
     if (now != held) {
       held = now;

@@ -4,8 +4,8 @@
 // meeting — almost all of which are no-ops on the converted Czerner
 // protocols, where a handful of pointer agents do all the work while the
 // counted register agents idle. CountSimulator steps directly on the
-// configuration's count vector in O(|Q|) memory and, optionally, skips
-// whole runs of null meetings in closed form:
+// configuration's count vector in O(|Q|) memory and skips whole runs of
+// null meetings in closed form:
 //
 //   * A meeting of an ordered state pair (q, r) is drawn with the exact
 //     hypergeometric weight C(q)·(C(r) − [q=r]) / (m·(m−1)) — the
@@ -55,8 +55,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "engine/metrics.hpp"
@@ -68,93 +66,25 @@
 
 namespace ppde::engine {
 
-/// Activity structure of a finalized protocol: which ordered state pairs
-/// (q, r) have at least one non-silent transition. Since S26 this is a
-/// thin view over the protocol's isa::CompiledProtocol — the engine no
-/// longer builds its own adjacency/candidate/bitset copies. Immutable,
-/// O(1) to construct, and safe to share across threads; it keeps the
-/// compiled tables alive via shared ownership.
-class PairIndex {
- public:
-  explicit PairIndex(const pp::Protocol& protocol)
-      : compiled_(protocol.compiled_ptr()) {
-    if (!compiled_)
-      throw std::logic_error("PairIndex: protocol not finalized");
-  }
-
-  /// The compiled IR behind this view.
-  const isa::CompiledProtocol& compiled() const { return *compiled_; }
-
-  /// States r such that (q, r) is active, q as the initiator; ascending.
-  std::span<const pp::State> partners_of(pp::State q) const {
-    return compiled_->partners_of(q);
-  }
-
-  /// Compiled cells of the active pair at dense *pair position* `pos` =
-  /// compiled().entry_of(q, r), in [0, num_active_pairs()) — one per
-  /// candidate of Protocol::transitions_for(q, r), in the same order.
-  std::span<const isa::Cell> pair_cells(std::uint32_t pos) const {
-    return compiled_->cells(pos);
-  }
-  /// States q such that (q, r) is active, r as the responder.
-  std::span<const pp::State> initiators_meeting(pp::State r) const {
-    return compiled_->initiators_meeting(r);
-  }
-  /// True iff (q, q) is active.
-  bool self_active(pp::State q) const { return compiled_->self_active(q); }
-
-  /// True iff (q, r) is active. O(1) via the word-aligned pair rows for
-  /// protocols up to kBitsetStates states (96 KB at the converted Czerner
-  /// n = 1's 880 states), O(log out-degree) binary search beyond that.
-  bool pair_active(pp::State q, pp::State r) const {
-    return compiled_->pair_active(q, r);
-  }
-
-  std::size_t num_states() const { return compiled_->num_states(); }
-  std::size_t num_active_pairs() const {
-    return compiled_->num_active_pairs();
-  }
-
-  /// Largest state count for which the pair bitsets are built (8 MB
-  /// each).
-  static constexpr std::size_t kBitsetStates =
-      isa::CompiledProtocol::kBitsetStates;
-
- private:
-  std::shared_ptr<const isa::CompiledProtocol> compiled_;
-};
-
-struct CountSimOptions {
-  /// Batch-skip runs of null meetings in closed form (see file comment).
-  /// When false, every meeting costs one pair sample — still O(|Q|) memory,
-  /// useful as the middle rung of the engine-comparison benchmarks.
-  bool null_skip = true;
-};
-
 /// Drop-in counterpart of pp::Simulator that never materialises agents.
-/// The protocol (and the PairIndex, if supplied) must outlive the
-/// simulator.
+/// The protocol must outlive the simulator; its compiled tables are
+/// shared, not copied.
 class CountSimulator {
  public:
   CountSimulator(const pp::Protocol& protocol, const pp::Config& initial,
-                 std::uint64_t seed = 1, CountSimOptions options = {});
-  /// Shares a prebuilt PairIndex (one per protocol, reused across trials).
-  CountSimulator(const pp::Protocol& protocol, const PairIndex& index,
-                 const pp::Config& initial, std::uint64_t seed = 1,
-                 CountSimOptions options = {});
+                 std::uint64_t seed = 1);
 
-  /// Rewind to `initial` with a fresh `seed`, keeping the protocol, index,
-  /// options and every allocation. A reset simulator is indistinguishable
-  /// from a freshly constructed one — trial fleets reuse one simulator per
-  /// worker instead of reallocating O(|Q|) state every trial.
+  /// Rewind to `initial` with a fresh `seed`, keeping the protocol and
+  /// every allocation. A reset simulator is indistinguishable from a
+  /// freshly constructed one — trial fleets reuse one simulator per worker
+  /// instead of reallocating O(|Q|) state every trial.
   void reset(const pp::Config& initial, std::uint64_t seed);
 
-  /// Advance to the next meeting and execute it. With null_skip this first
-  /// jumps past the (geometrically many) null meetings, so one call can
-  /// advance interactions() by far more than 1. Returns true if a
-  /// transition fired. If the simulation is frozen() the call advances a
-  /// single (null) meeting and returns false — check frozen() in unbounded
-  /// loops.
+  /// Jump past the (geometrically many) null meetings to the next active
+  /// one and execute it, so one call can advance interactions() by far
+  /// more than 1. Returns true if a transition fired. If the simulation is
+  /// frozen() the call advances a single (null) meeting and returns false
+  /// — check frozen() in unbounded loops.
   bool step();
 
   /// Same stopping rule as pp::Simulator::run_until_stable: consensus must
@@ -195,10 +125,6 @@ class CountSimulator {
   const RunMetrics& metrics() const { return metrics_; }
 
  private:
-  CountSimulator(std::unique_ptr<const PairIndex> owned,
-                 const pp::Protocol& protocol, const pp::Config& initial,
-                 std::uint64_t seed, CountSimOptions options);
-
   /// Load `initial` into an empty simulator: counts, populated list,
   /// partner sums and weights.
   void load(const pp::Config& initial);
@@ -223,8 +149,6 @@ class CountSimulator {
   /// Sample an active (q, r) by weight and fire a candidate. `active` must
   /// be the current W (> 0).
   void apply_active_meeting(std::uint64_t active);
-  /// One plain meeting: hypergeometric pair sample, fire if enabled.
-  bool step_meeting();
   void change_count(pp::State state, std::int64_t delta);
   /// Move one agent from `from` to `to` (`from` != `to`). Equivalent to
   /// change_count(from, -1); change_count(to, +1) — with a fused fast path
@@ -272,16 +196,9 @@ class CountSimulator {
   }
 
   static constexpr std::uint32_t kNoPosition = 0xffffffffu;
-  /// Populated-list size past which step_meeting counts its two partner
-  /// selections as tree_descents. Selection is a linear scan at every
-  /// size; the counter keeps the event count the earlier tree-descent
-  /// selection reported, so RunMetrics stay comparable with old records.
-  static constexpr std::size_t kLinearSlots = 32;
 
   const pp::Protocol* protocol_;
-  std::unique_ptr<const PairIndex> owned_index_;
-  const PairIndex* index_;
-  CountSimOptions options_;
+  std::shared_ptr<const isa::CompiledProtocol> compiled_;
   pp::Config counts_;
   /// States with non-zero count, unordered; keeps all incremental
   /// bookkeeping O(#populated states) instead of O(|Q|) or O(degree) — on

@@ -58,7 +58,6 @@ std::uint64_t derive_trial_seed(std::uint64_t master_seed,
 const char* to_string(EngineKind kind) {
   switch (kind) {
     case EngineKind::kPerAgent: return "per-agent";
-    case EngineKind::kCount: return "count";
     case EngineKind::kCountNullSkip: return "count+null-skip";
   }
   return "?";
@@ -234,7 +233,7 @@ std::string describe(const EnsembleStats& stats) {
       "interactions ...... p50 %.3g  p90 %.3g  max %.3g\n"
       "parallel time ..... p50 %.3g  p90 %.3g  max %.3g\n"
       "meetings/sec ...... %.3g effective (%llu firings, %llu skip batches)\n"
-      "incremental ....... %llu weight updates, %llu tree descents\n"
+      "incremental ....... %llu weight updates\n"
       "wall .............. %.3fs\n",
       static_cast<unsigned long long>(stats.trials), stats.threads_used,
       stats.stabilised_fraction(), stats.accept_fraction(),
@@ -244,7 +243,6 @@ std::string describe(const EnsembleStats& stats) {
       static_cast<unsigned long long>(stats.totals.firings),
       static_cast<unsigned long long>(stats.totals.null_skip_batches),
       static_cast<unsigned long long>(stats.totals.weight_updates),
-      static_cast<unsigned long long>(stats.totals.tree_descents),
       stats.wall_seconds);
   return buffer;
 }

@@ -38,7 +38,6 @@ std::uint64_t derive_trial_seed(std::uint64_t master_seed,
 /// Which simulator executes each trial.
 enum class EngineKind {
   kPerAgent,        ///< pp::Simulator — one array slot per agent
-  kCount,           ///< CountSimulator, one pair sample per meeting
   kCountNullSkip,   ///< CountSimulator with geometric null-skip (default)
 };
 

@@ -9,14 +9,7 @@ TrialExecutor::TrialExecutor(const pp::Protocol& protocol, EngineKind kind,
     : protocol_(protocol),
       scenario_(scenario),
       per_agent_(kind == EngineKind::kPerAgent || !scenario.is_default()),
-      sims_(workers) {
-  if (!per_agent_) {
-    // One shared activity index for all count-based trials; read-only
-    // after construction, so safe across the pool.
-    index_.emplace(protocol);
-    sim_options_.null_skip = kind == EngineKind::kCountNullSkip;
-  }
-}
+      sims_(workers) {}
 
 TrialResult TrialExecutor::run(unsigned worker, const pp::Config& initial,
                                std::uint64_t seed,
@@ -33,8 +26,7 @@ TrialResult TrialExecutor::run(unsigned worker, const pp::Config& initial,
     // to a fresh one, so results stay pure functions of (initial, seed).
     std::unique_ptr<CountSimulator>& sim = sims_[worker];
     if (!sim)
-      sim = std::make_unique<CountSimulator>(protocol_, *index_, initial,
-                                             seed, sim_options_);
+      sim = std::make_unique<CountSimulator>(protocol_, initial, seed);
     else
       sim->reset(initial, seed);
     trial.sim = sim->run_until_stable(options);

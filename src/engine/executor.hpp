@@ -5,14 +5,13 @@
 // ensemble batch and the analysis sweeps: pick per-agent or count
 // simulator, reuse one count simulator per worker, run until stable.
 // TrialExecutor is that body, written once — and the single place where
-// the S27 scenario fallback rule lives: the count-based engines keep
-// their flat-weight fast paths for the default scenario, while any
+// the S27 scenario fallback rule lives: the count engine keeps its
+// flat-weight fast paths for the default scenario, while any
 // non-default scenario (graph topology, biased weighting, faults — all of
 // which need agent identity) falls back to the per-agent pp::Simulator.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "engine/count_sim.hpp"
@@ -47,8 +46,6 @@ class TrialExecutor {
   const pp::Protocol& protocol_;
   sched::Scenario scenario_;
   bool per_agent_;
-  std::optional<PairIndex> index_;
-  CountSimOptions sim_options_;
   std::vector<std::unique_ptr<CountSimulator>> sims_;
 };
 

@@ -29,13 +29,9 @@ struct RunMetrics {
   /// Times the population's consensus value changed during run_until_stable
   /// (entering, leaving, or flipping a consensus each count once).
   std::uint64_t consensus_flips = 0;
-  /// Incremental per-slot weight refreshes pushed into the Fenwick layer
-  /// (CountSimulator only; excludes initial-configuration loading).
+  /// Incremental per-slot weight refreshes (CountSimulator only; excludes
+  /// initial-configuration loading).
   std::uint64_t weight_updates = 0;
-  /// Fenwick-tree descents performed to sample a meeting partner
-  /// (CountSimulator only): one per active-pair draw under null-skip, two
-  /// per plain meeting (initiator + responder).
-  std::uint64_t tree_descents = 0;
   /// Wall-clock seconds spent inside run_until_stable.
   double wall_seconds = 0.0;
 

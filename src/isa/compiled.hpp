@@ -23,9 +23,9 @@
 //   * Adjacency CSRs (partners_of / initiators_meeting), self-pair flags
 //     and, up to kBitsetStates states, word-aligned pair bitsets: one row
 //     of active partners per initiator and its transpose (one column of
-//     watching initiators per responder). The count engine walks them
-//     against its populated-state bitset; engine::PairIndex is a thin
-//     view.
+//     watching initiators per responder). The count engine
+//     (engine::CountSimulator) walks them against its populated-state
+//     bitset.
 //
 // Lowering is pure table construction: candidate order equals
 // Protocol::finalize()'s transition order, so a simulator picking
@@ -94,7 +94,7 @@ class CompiledProtocol {
   static constexpr std::uint32_t kSilentOnly = 0xfffffffeu;
 
   /// Largest |Q| for which the pair bitsets are built (8 MB each at the
-  /// cap) — same threshold the legacy PairIndex used.
+  /// cap).
   static constexpr std::size_t kBitsetStates = 8192;
 
   /// The flat tables; see the member comments for invariants. Exported by

@@ -339,7 +339,6 @@ EnsembleRecord make_ensemble_record(std::uint64_t trial,
   record.skipped_meetings = result.metrics.skipped_meetings;
   record.consensus_flips = result.metrics.consensus_flips;
   record.weight_updates = result.metrics.weight_updates;
-  record.tree_descents = result.metrics.tree_descents;
   return record;
 }
 
@@ -355,7 +354,6 @@ engine::TrialResult to_trial_result(const EnsembleRecord& record) {
   result.metrics.skipped_meetings = record.skipped_meetings;
   result.metrics.consensus_flips = record.consensus_flips;
   result.metrics.weight_updates = record.weight_updates;
-  result.metrics.tree_descents = record.tree_descents;
   return result;
 }
 
@@ -399,7 +397,7 @@ std::string encode_batch_result(const BatchResult& result, bool ensemble) {
       for (const std::uint64_t value :
            {record.meetings, record.firings, record.null_skip_batches,
             record.skipped_meetings, record.consensus_flips,
-            record.weight_updates, record.tree_descents}) {
+            record.weight_updates}) {
         out += ',';
         append_u64(out, value);
       }
@@ -450,7 +448,6 @@ BatchResult parse_batch_result(const Json& json, bool ensemble) {
       record.skipped_meetings = element_u64(fields, 8);
       record.consensus_flips = element_u64(fields, 9);
       record.weight_updates = element_u64(fields, 10);
-      record.tree_descents = element_u64(fields, 11);
       result.ensemble_records.push_back(record);
     }
   }

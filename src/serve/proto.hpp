@@ -129,7 +129,6 @@ struct EnsembleRecord {
   std::uint64_t skipped_meetings = 0;
   std::uint64_t consensus_flips = 0;
   std::uint64_t weight_updates = 0;
-  std::uint64_t tree_descents = 0;
 
   bool operator==(const EnsembleRecord&) const = default;
 };

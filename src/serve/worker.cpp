@@ -4,7 +4,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "compile/lower.hpp"
 #include "compile/to_protocol.hpp"
 #include "czerner/construction.hpp"
-#include "engine/count_sim.hpp"
 #include "engine/ensemble.hpp"
 #include "engine/executor.hpp"
 #include "obs/registry.hpp"
@@ -31,31 +29,25 @@ namespace ppde::serve {
 
 namespace {
 
-/// Per-n converted protocol + activity index, built once per worker
-/// process and reused across batches (construction dominates small-batch
-/// latency otherwise).
-struct CachedProtocol {
-  compile::ProtocolConversion conversion;
-  std::optional<engine::PairIndex> index;
-};
-
-CachedProtocol& cached_protocol(int n) {
-  static std::map<int, std::unique_ptr<CachedProtocol>> cache;
-  std::unique_ptr<CachedProtocol>& slot = cache[n];
+/// Per-n converted protocol, built once per worker process and reused
+/// across batches (construction dominates small-batch latency otherwise).
+const compile::ProtocolConversion& cached_conversion(int n) {
+  static std::map<int, std::unique_ptr<compile::ProtocolConversion>> cache;
+  std::unique_ptr<compile::ProtocolConversion>& slot = cache[n];
   if (!slot) {
     const auto lowered =
         compile::lower_program(czerner::build_construction(n).program);
-    slot = std::make_unique<CachedProtocol>(CachedProtocol{
-        compile::machine_to_protocol(lowered.machine), std::nullopt});
-    slot->index.emplace(slot->conversion.protocol);
+    slot = std::make_unique<compile::ProtocolConversion>(
+        compile::machine_to_protocol(lowered.machine));
   }
   return *slot;
 }
 
 BatchResult run_certify_batch(const BatchRequest& request) {
-  CachedProtocol& cached = cached_protocol(request.n);
-  const std::uint64_t m = cached.conversion.num_pointers + request.extra;
-  const pp::Config initial = cached.conversion.initial_config(m);
+  const compile::ProtocolConversion& conversion =
+      cached_conversion(request.n);
+  const std::uint64_t m = conversion.num_pointers + request.extra;
+  const pp::Config initial = conversion.initial_config(m);
   smc::CertifyOptions options;
   options.seed = request.seed;
   options.sim.stable_window = request.window;
@@ -66,7 +58,7 @@ BatchResult run_certify_batch(const BatchRequest& request) {
   // daemon's parallelism is processes, and a forked child must not spawn
   // threads anyway.
   const std::vector<smc::TrialOutcome> outcomes = smc::run_outcome_range(
-      cached.conversion.protocol, initial, request.expected, options,
+      conversion.protocol, initial, request.expected, options,
       request.first, request.count, /*threads=*/1);
   BatchResult result;
   result.first = request.first;
@@ -78,9 +70,10 @@ BatchResult run_certify_batch(const BatchRequest& request) {
 }
 
 BatchResult run_ensemble_batch(const BatchRequest& request) {
-  CachedProtocol& cached = cached_protocol(request.n);
-  const std::uint64_t m = cached.conversion.num_pointers + request.extra;
-  const pp::Config initial = cached.conversion.initial_config(m);
+  const compile::ProtocolConversion& conversion =
+      cached_conversion(request.n);
+  const std::uint64_t m = conversion.num_pointers + request.extra;
+  const pp::Config initial = conversion.initial_config(m);
   pp::SimulationOptions sim_stop;
   sim_stop.stable_window = request.window;
   sim_stop.max_interactions = request.budget;
@@ -91,7 +84,7 @@ BatchResult run_ensemble_batch(const BatchRequest& request) {
   if (!request.scenario.empty())
     scenario = sched::Scenario::parse(request.scenario);
   engine::TrialExecutor executor(
-      cached.conversion.protocol, engine::EngineKind::kCountNullSkip, {},
+      conversion.protocol, engine::EngineKind::kCountNullSkip, {},
       scenario, /*workers=*/1);
   const std::vector<engine::TrialResult> trials = engine::run_trial_range(
       request.first, request.count, /*threads=*/1, request.seed,

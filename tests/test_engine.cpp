@@ -108,8 +108,8 @@ double chi_squared(const std::vector<double>& a,
 }
 
 // Verbatim reimplementation of the seed engine's stepping loop — full
-// active-weight rescan per step, linear prefix scans for both meeting
-// partners, responder walk over the initiator's complete partner list,
+// active-weight rescan per step, geometric null-skip, linear prefix scan
+// for the initiator, responder walk over its complete partner list,
 // transitions picked off Protocol::transitions_for (the map interpreter) —
 // kept here as the oracle for the bit-identicality contract (DESIGN.md
 // S21): for the same seed, CountSimulator must visit the same
@@ -118,10 +118,9 @@ double chi_squared(const std::vector<double>& a,
 class LinearScanOracle {
  public:
   LinearScanOracle(const pp::Protocol& protocol, const pp::Config& initial,
-                   std::uint64_t seed, bool null_skip)
+                   std::uint64_t seed)
       : protocol_(&protocol),
-        index_(protocol),
-        null_skip_(null_skip),
+        compiled_(&protocol.compiled()),
         counts_(protocol.num_states()),
         rout_(protocol.num_states(), 0),
         position_(protocol.num_states(), kNone),
@@ -131,7 +130,8 @@ class LinearScanOracle {
     for (pp::State q = 0; q < counts_.num_states(); ++q) {
       if (counts_[q] == 0) continue;
       if (protocol.is_accepting(q)) accepting_ += counts_[q];
-      for (pp::State p : index_.initiators_meeting(q)) rout_[p] += counts_[q];
+      for (pp::State p : compiled_->initiators_meeting(q))
+        rout_[p] += counts_[q];
       position_[q] = static_cast<std::uint32_t>(populated_.size());
       populated_.push_back(q);
     }
@@ -143,7 +143,6 @@ class LinearScanOracle {
   std::uint64_t firings() const { return firings_; }
 
   bool step() {
-    if (!null_skip_) return step_meeting();
     const std::uint64_t active = active_weight();
     if (active == 0) {
       ++interactions_;
@@ -162,40 +161,35 @@ class LinearScanOracle {
     std::uint64_t consensus_start = interactions_;
     std::optional<bool> held = consensus();
     while (interactions_ < options.max_interactions) {
-      if (null_skip_) {
-        const std::uint64_t active = active_weight();
-        const std::uint64_t stable_at =
-            consensus_start + options.stable_window;
-        if (active == 0) {
-          if (held.has_value() && stable_at <= options.max_interactions) {
-            advance_nulls(stable_at - interactions_);
-            result.stabilised = true;
-            result.output = *held;
-            result.consensus_since = consensus_start;
-          } else {
-            advance_nulls(options.max_interactions - interactions_);
-          }
-          break;
-        }
-        const std::uint64_t skip = sample_null_run(active);
-        if (held.has_value() && stable_at <= interactions_ + skip) {
+      const std::uint64_t active = active_weight();
+      const std::uint64_t stable_at = consensus_start + options.stable_window;
+      if (active == 0) {
+        if (held.has_value() && stable_at <= options.max_interactions) {
           advance_nulls(stable_at - interactions_);
           result.stabilised = true;
           result.output = *held;
           result.consensus_since = consensus_start;
-          break;
-        }
-        if (interactions_ + skip >= options.max_interactions) {
+        } else {
           advance_nulls(options.max_interactions - interactions_);
-          break;
         }
-        advance_nulls(skip);
-        ++interactions_;
-        ++meetings_;
-        apply_active_meeting(active);
-      } else {
-        step_meeting();
+        break;
       }
+      const std::uint64_t skip = sample_null_run(active);
+      if (held.has_value() && stable_at <= interactions_ + skip) {
+        advance_nulls(stable_at - interactions_);
+        result.stabilised = true;
+        result.output = *held;
+        result.consensus_since = consensus_start;
+        break;
+      }
+      if (interactions_ + skip >= options.max_interactions) {
+        advance_nulls(options.max_interactions - interactions_);
+        break;
+      }
+      advance_nulls(skip);
+      ++interactions_;
+      ++meetings_;
+      apply_active_meeting(active);
       const std::optional<bool> now = consensus();
       if (now != held) {
         held = now;
@@ -228,7 +222,7 @@ class LinearScanOracle {
     for (std::size_t i = 0; i < populated_.size(); ++i) {
       const pp::State q = populated_[i];
       const std::uint64_t weight =
-          counts_[q] * (rout_[q] - (index_.self_active(q) ? 1 : 0));
+          counts_[q] * (rout_[q] - (compiled_->self_active(q) ? 1 : 0));
       weights_[i] = weight;
       total += weight;
     }
@@ -261,7 +255,7 @@ class LinearScanOracle {
     const pp::State q = populated_[slot];
     const std::uint64_t cq = counts_[q];
     pp::State r = q;
-    for (pp::State partner : index_.partners_of(q)) {
+    for (pp::State partner : compiled_->partners_of(q)) {
       const std::uint64_t weight =
           cq * (counts_[partner] - (partner == q ? 1 : 0));
       if (target < weight) {
@@ -271,31 +265,6 @@ class LinearScanOracle {
       target -= weight;
     }
     fire(q, r);
-  }
-
-  bool step_meeting() {
-    ++interactions_;
-    ++meetings_;
-    const std::uint64_t m = counts_.total();
-    if (m < 2) return false;
-    std::uint64_t i = rng_.below(m);
-    std::size_t slot = 0;
-    while (i >= counts_[populated_[slot]]) i -= counts_[populated_[slot++]];
-    const pp::State q = populated_[slot];
-    std::uint64_t j = rng_.below(m - 1);
-    pp::State r = 0;
-    for (slot = 0;; ++slot) {
-      const pp::State candidate = populated_[slot];
-      const std::uint64_t c = counts_[candidate] - (candidate == q ? 1 : 0);
-      if (j < c) {
-        r = candidate;
-        break;
-      }
-      j -= c;
-    }
-    if (protocol_->transitions_for(q, r).empty()) return false;
-    fire(q, r);
-    return true;
   }
 
   void fire(pp::State q, pp::State r) {
@@ -323,7 +292,7 @@ class LinearScanOracle {
       counts_.remove(state, static_cast<std::uint32_t>(-delta));
     const auto shift = static_cast<std::uint64_t>(delta);
     if (protocol_->is_accepting(state)) accepting_ += shift;
-    for (pp::State p : index_.initiators_meeting(state)) rout_[p] += shift;
+    for (pp::State p : compiled_->initiators_meeting(state)) rout_[p] += shift;
     if (counts_[state] == 0) {
       const std::uint32_t hole = position_[state];
       const pp::State moved = populated_.back();
@@ -338,8 +307,7 @@ class LinearScanOracle {
   }
 
   const pp::Protocol* protocol_;
-  PairIndex index_;
-  bool null_skip_;
+  const isa::CompiledProtocol* compiled_;
   pp::Config counts_;
   std::vector<std::uint64_t> rout_;
   std::vector<std::uint32_t> position_;
@@ -354,9 +322,8 @@ class LinearScanOracle {
 
 // A 40-state "carousel" (every meeting advances the responder one state):
 // all 1600 ordered pairs are active and the populated list fluctuates
-// around 40 slots — past kLinearSlots — so the engine's wide-population
-// counting and swap-remove surgery all run, not just the small-population
-// paths.
+// around 40 slots, so the engine's wide-population counting and
+// swap-remove surgery all run, not just the small-population paths.
 pp::Protocol make_carousel_protocol(std::uint32_t n) {
   pp::Protocol protocol;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -444,54 +411,21 @@ pp::Config spreading_carousel_initial(const pp::Protocol& carousel) {
   return initial;
 }
 
-TEST(PairIndex, MarksExactlyTheNonSilentPairs) {
-  const pp::Protocol majority = baselines::make_majority();
-  const PairIndex index(majority);
-  const pp::State big_a = majority.state("A");
-  const pp::State big_b = majority.state("B");
-  const pp::State small_a = majority.state("a");
-  const pp::State small_b = majority.state("b");
-  EXPECT_EQ(index.num_active_pairs(), 4u);
-  EXPECT_EQ(index.partners_of(big_a).size(), 2u);  // B and b
-  EXPECT_EQ(index.partners_of(big_b).size(), 1u);  // a
-  EXPECT_EQ(index.partners_of(small_a).size(), 1u);  // b
-  EXPECT_EQ(index.partners_of(small_b).size(), 0u);
-  EXPECT_EQ(index.initiators_meeting(small_b).size(), 2u);  // A and a
-  for (pp::State q : {big_a, big_b, small_a, small_b})
-    EXPECT_FALSE(index.self_active(q));
-}
-
-TEST(PairIndex, AllSilentPairsAreNull) {
-  pp::Protocol protocol;
-  const pp::State x = protocol.add_state("x");
-  const pp::State y = protocol.add_state("y");
-  protocol.mark_accepting(x);
-  protocol.add_transition(x, y, x, y);  // silent: cannot change anything
-  protocol.finalize();
-  const PairIndex index(protocol);
-  EXPECT_EQ(index.num_active_pairs(), 0u);
-}
-
 TEST(CountSimulator, ConservesCountsExactly) {
   const pp::Protocol majority = baselines::make_majority();
-  for (const bool null_skip : {false, true}) {
-    CountSimOptions options;
-    options.null_skip = null_skip;
-    CountSimulator sim(majority, baselines::majority_initial(majority, 50, 50),
-                       17, options);
-    for (int step = 0; step < 20'000 && !sim.frozen(); ++step) {
-      sim.step();
-      if (step % 1'000 != 0) continue;
-      EXPECT_EQ(sim.population(), 100u);
-      std::uint64_t total = 0;
-      for (std::uint32_t c : sim.config().counts()) total += c;
-      EXPECT_EQ(total, 100u);
-      EXPECT_EQ(sim.accepting_agents(),
-                sim.config().accepting_count(majority));
-    }
-    EXPECT_EQ(sim.metrics().meetings, sim.interactions());
-    EXPECT_LE(sim.metrics().firings, sim.metrics().meetings);
+  CountSimulator sim(majority, baselines::majority_initial(majority, 50, 50),
+                     17);
+  for (int step = 0; step < 20'000 && !sim.frozen(); ++step) {
+    sim.step();
+    if (step % 1'000 != 0) continue;
+    EXPECT_EQ(sim.population(), 100u);
+    std::uint64_t total = 0;
+    for (std::uint32_t c : sim.config().counts()) total += c;
+    EXPECT_EQ(total, 100u);
+    EXPECT_EQ(sim.accepting_agents(), sim.config().accepting_count(majority));
   }
+  EXPECT_EQ(sim.metrics().meetings, sim.interactions());
+  EXPECT_LE(sim.metrics().firings, sim.metrics().meetings);
 }
 
 TEST(CountSimulator, MatchesPerAgentDistribution) {
@@ -527,29 +461,6 @@ TEST(CountSimulator, MatchesPerAgentDistribution) {
   // quantile bins, df <= 5, generous critical value (p < 0.001 is ~20.5).
   EXPECT_LT(chi_squared(per_agent.interactions, count_skip.interactions),
             25.0);
-}
-
-TEST(CountSimulator, NullSkipMatchesPlainCountStepping) {
-  const pp::Protocol opinion = make_opinion_protocol();
-  const pp::Config initial = opinion_initial(opinion, 4, 4);
-  pp::SimulationOptions options;
-  options.stable_window = 300;
-  options.max_interactions = 1'000'000;
-  const std::uint64_t trials = 400;
-
-  CountSimOptions no_skip;
-  no_skip.null_skip = false;
-  const SampleStats plain =
-      sample_runs(trials, 5, options, [&](std::uint64_t seed) {
-        return CountSimulator(opinion, initial, seed, no_skip);
-      });
-  const SampleStats skip =
-      sample_runs(trials, 6, options, [&](std::uint64_t seed) {
-        return CountSimulator(opinion, initial, seed);
-      });
-  EXPECT_EQ(plain.stabilised, trials);
-  EXPECT_EQ(skip.stabilised, trials);
-  EXPECT_LT(chi_squared(plain.interactions, skip.interactions), 25.0);
 }
 
 TEST(CountSimulator, MatchesPerAgentOnOneSidedConvergence) {
@@ -701,9 +612,8 @@ TEST(Ensemble, StatsAreIndependentOfThreadCount) {
     // The incremental-maintenance counters ride the same trajectories, so
     // they must be just as thread-count-deterministic as the physics.
     EXPECT_EQ(runs[i].totals.weight_updates, runs[0].totals.weight_updates);
-    EXPECT_EQ(runs[i].totals.tree_descents, runs[0].totals.tree_descents);
   }
-  EXPECT_GT(runs[0].totals.tree_descents, 0u);
+  EXPECT_GT(runs[0].totals.weight_updates, 0u);
 }
 
 TEST(Ensemble, EnginesAgreeOnVerdicts) {
@@ -716,8 +626,7 @@ TEST(Ensemble, EnginesAgreeOnVerdicts) {
   options.sim.stable_window = 1'000;
   options.sim.max_interactions = 1'000'000;
   for (const EngineKind engine :
-       {EngineKind::kPerAgent, EngineKind::kCount,
-        EngineKind::kCountNullSkip}) {
+       {EngineKind::kPerAgent, EngineKind::kCountNullSkip}) {
     options.engine = engine;
     const EnsembleStats stats = run_ensemble(flock, initial, options);
     EXPECT_EQ(stats.stabilised, options.trials) << to_string(engine);
@@ -744,8 +653,8 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   // population), flock k = 3, the converted Czerner n = 1 (≈880 states,
   // ~24 populated, heavy populate/depopulate churn) at +400, +6 and |F| + 2
   // agents (the certify statement, where almost every firing populates or
-  // depopulates a state), a 40-state carousel that pushes past
-  // kLinearSlots, a 120-state carousel whose populated list spreads from
+  // depopulates a state), a 40-state carousel with every pair active, a
+  // 120-state carousel whose populated list spreads from
   // 60 to past 64 states, rings of 100 and 600 states with every state
   // populated (the 600-state ring on the perfect-hash pair lookup), a
   // 5,000-state hub ring whose 79-word bitsets need both summary words,
@@ -768,7 +677,7 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
   const pp::Protocol hub_ring = make_ring(5'000, true);
   ASSERT_GT(hub_ring.compiled().bitset_words(), 64u);
   constexpr auto kPastBitsets =
-      static_cast<std::uint32_t>(PairIndex::kBitsetStates) + 8;
+      static_cast<std::uint32_t>(isa::CompiledProtocol::kBitsetStates) + 8;
   const pp::Protocol huge_ring = make_ring(kPastBitsets);
   const pp::Protocol huge_hub_ring = make_ring(kPastBitsets, true);
   ASSERT_EQ(huge_ring.compiled().bitset_words(), 0u);
@@ -806,39 +715,32 @@ TEST(CountSimulator, BitIdenticalToLinearScanOracle) {
       {&silent_pair, silent_initial, 2'000, false},
   };
   for (const Case& test_case : cases) {
-    for (const bool null_skip : {true, false}) {
-      for (const std::uint64_t seed : {1ull, 29ull}) {
-        CountSimOptions options;
-        options.null_skip = null_skip;
-        CountSimulator sim(*test_case.protocol, test_case.initial, seed,
-                           options);
-        LinearScanOracle oracle(*test_case.protocol, test_case.initial, seed,
-                                null_skip);
-        if (test_case.spreads_past_64) {
-          ASSERT_LE(populated_states(sim.config()), 64u);
+    for (const std::uint64_t seed : {1ull, 29ull}) {
+      CountSimulator sim(*test_case.protocol, test_case.initial, seed);
+      LinearScanOracle oracle(*test_case.protocol, test_case.initial, seed);
+      if (test_case.spreads_past_64) {
+        ASSERT_LE(populated_states(sim.config()), 64u);
+      }
+      std::size_t widest = 0;
+      const auto where = [&](int step) {
+        return "states=" + std::to_string(test_case.protocol->num_states()) +
+               " step " + std::to_string(step) +
+               " seed=" + std::to_string(seed);
+      };
+      for (int step = 0; step < test_case.steps; ++step) {
+        sim.step();
+        oracle.step();
+        ASSERT_EQ(sim.interactions(), oracle.interactions()) << where(step);
+        ASSERT_EQ(sim.metrics().firings, oracle.firings()) << where(step);
+        if (test_case.spreads_past_64)
+          widest = std::max(widest, populated_states(sim.config()));
+        if (step % 64 == 0 || step + 1 == test_case.steps) {
+          ASSERT_EQ(sim.config(), oracle.config()) << where(step);
         }
-        std::size_t widest = 0;
-        const auto where = [&](int step) {
-          return "states=" + std::to_string(test_case.protocol->num_states()) +
-                 " step " + std::to_string(step) +
-                 " skip=" + std::to_string(null_skip) +
-                 " seed=" + std::to_string(seed);
-        };
-        for (int step = 0; step < test_case.steps; ++step) {
-          sim.step();
-          oracle.step();
-          ASSERT_EQ(sim.interactions(), oracle.interactions()) << where(step);
-          ASSERT_EQ(sim.metrics().firings, oracle.firings()) << where(step);
-          if (test_case.spreads_past_64)
-            widest = std::max(widest, populated_states(sim.config()));
-          if (step % 64 == 0 || step + 1 == test_case.steps) {
-            ASSERT_EQ(sim.config(), oracle.config()) << where(step);
-          }
-        }
-        ASSERT_EQ(sim.metrics().meetings, oracle.meetings());
-        if (test_case.spreads_past_64) {
-          EXPECT_GT(widest, 64u) << "the run never spread past 64 states";
-        }
+      }
+      ASSERT_EQ(sim.metrics().meetings, oracle.meetings());
+      if (test_case.spreads_past_64) {
+        EXPECT_GT(widest, 64u) << "the run never spread past 64 states";
       }
     }
   }
@@ -862,59 +764,48 @@ TEST(CountSimulator, RunUntilStableMatchesOracle) {
   options.stable_window = 400;
   options.max_interactions = 1'000'000;
   for (const Case& test_case : cases) {
-    for (const bool null_skip : {true, false}) {
-      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-        CountSimOptions sim_options;
-        sim_options.null_skip = null_skip;
-        CountSimulator sim(*test_case.protocol, test_case.initial, seed,
-                           sim_options);
-        LinearScanOracle oracle(*test_case.protocol, test_case.initial, seed,
-                                null_skip);
-        const pp::SimulationResult ours = sim.run_until_stable(options);
-        const pp::SimulationResult reference =
-            oracle.run_until_stable(options);
-        ASSERT_EQ(ours.stabilised, reference.stabilised) << seed;
-        ASSERT_EQ(ours.output, reference.output) << seed;
-        ASSERT_EQ(ours.interactions, reference.interactions) << seed;
-        ASSERT_EQ(ours.consensus_since, reference.consensus_since) << seed;
-        ASSERT_EQ(sim.config(), oracle.config()) << seed;
-      }
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      CountSimulator sim(*test_case.protocol, test_case.initial, seed);
+      LinearScanOracle oracle(*test_case.protocol, test_case.initial, seed);
+      const pp::SimulationResult ours = sim.run_until_stable(options);
+      const pp::SimulationResult reference = oracle.run_until_stable(options);
+      ASSERT_EQ(ours.stabilised, reference.stabilised) << seed;
+      ASSERT_EQ(ours.output, reference.output) << seed;
+      ASSERT_EQ(ours.interactions, reference.interactions) << seed;
+      ASSERT_EQ(ours.consensus_since, reference.consensus_since) << seed;
+      ASSERT_EQ(sim.config(), oracle.config()) << seed;
     }
   }
 }
 
 TEST(CountSimulator, TinyPopulationsFreezeInsteadOfDividing) {
   // Regression for the m <= 1 hazard: sample_null_run's geometric law
-  // divides by m·(m−1) and the meeting sampler draws below(m−1); empty and
-  // single-agent configurations must freeze immediately instead.
+  // divides by m·(m−1); empty and single-agent configurations must freeze
+  // immediately instead.
   const pp::Protocol opinion = make_opinion_protocol();
-  for (const bool null_skip : {true, false}) {
-    CountSimOptions options;
-    options.null_skip = null_skip;
-    pp::SimulationOptions run;
-    run.stable_window = 50;
-    run.max_interactions = 1'000;
+  pp::SimulationOptions run;
+  run.stable_window = 50;
+  run.max_interactions = 1'000;
 
-    pp::Config lone(opinion.num_states());
-    lone.add(opinion.state("T"), 1);
-    CountSimulator single(opinion, lone, 3, options);
-    EXPECT_TRUE(single.frozen());
-    EXPECT_FALSE(single.step());
-    EXPECT_EQ(single.interactions(), 1u);
-    const pp::SimulationResult result = single.run_until_stable(run);
-    EXPECT_TRUE(result.stabilised);
-    EXPECT_TRUE(result.output);  // the lone agent accepts
-    // The manual step above burnt one interaction; the window starts there.
-    EXPECT_EQ(result.consensus_since, 1u);
-    EXPECT_EQ(single.config()[opinion.state("T")], 1u);
+  pp::Config lone(opinion.num_states());
+  lone.add(opinion.state("T"), 1);
+  CountSimulator single(opinion, lone, 3);
+  EXPECT_TRUE(single.frozen());
+  EXPECT_FALSE(single.step());
+  EXPECT_EQ(single.interactions(), 1u);
+  const pp::SimulationResult result = single.run_until_stable(run);
+  EXPECT_TRUE(result.stabilised);
+  EXPECT_TRUE(result.output);  // the lone agent accepts
+  // The manual step above burnt one interaction; the window starts there.
+  EXPECT_EQ(result.consensus_since, 1u);
+  EXPECT_EQ(single.config()[opinion.state("T")], 1u);
 
-    pp::Config empty(opinion.num_states());
-    CountSimulator none(opinion, empty, 3, options);
-    EXPECT_TRUE(none.frozen());
-    EXPECT_FALSE(none.step());
-    const pp::SimulationResult vacuous = none.run_until_stable(run);
-    EXPECT_TRUE(vacuous.stabilised);  // vacuous consensus, documented
-  }
+  pp::Config empty(opinion.num_states());
+  CountSimulator none(opinion, empty, 3);
+  EXPECT_TRUE(none.frozen());
+  EXPECT_FALSE(none.step());
+  const pp::SimulationResult vacuous = none.run_until_stable(run);
+  EXPECT_TRUE(vacuous.stabilised);  // vacuous consensus, documented
 }
 
 TEST(CountSimulator, BudgetBoundaryOnFrozenConsensus) {
@@ -954,12 +845,10 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
   // in an arbitrary state.
   const pp::Protocol majority = baselines::make_majority();
   const pp::Config initial = baselines::majority_initial(majority, 13, 11);
-  for (const bool null_skip : {true, false}) {
-    CountSimOptions options;
-    options.null_skip = null_skip;
-    CountSimulator fresh(majority, initial, 77, options);
-    CountSimulator reused(
-        majority, baselines::majority_initial(majority, 40, 2), 5, options);
+  {
+    CountSimulator fresh(majority, initial, 77);
+    CountSimulator reused(majority,
+                          baselines::majority_initial(majority, 40, 2), 5);
     for (int step = 0; step < 500; ++step) reused.step();  // arbitrary state
     reused.reset(initial, 77);
     EXPECT_EQ(reused.interactions(), 0u);
@@ -973,7 +862,6 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
     EXPECT_EQ(fresh.metrics().firings, reused.metrics().firings);
     EXPECT_EQ(fresh.metrics().meetings, reused.metrics().meetings);
     EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
-    EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
   }
   // A run whose populated list spread past 64 states leaves bits in both
   // words of the populated bitset; reset must clear every one of them.
@@ -997,12 +885,12 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
   EXPECT_EQ(fresh.interactions(), reused.interactions());
   EXPECT_EQ(fresh.metrics().firings, reused.metrics().firings);
   EXPECT_EQ(fresh.metrics().weight_updates, reused.metrics().weight_updates);
-  EXPECT_EQ(fresh.metrics().tree_descents, reused.metrics().tree_descents);
 
   // Past kBitsetStates the simulator keeps a sorted populated list
   // instead; reset must empty it too.
-  const pp::Protocol hub_ring =
-      make_ring(static_cast<std::uint32_t>(PairIndex::kBitsetStates) + 8, true);
+  const pp::Protocol hub_ring = make_ring(
+      static_cast<std::uint32_t>(isa::CompiledProtocol::kBitsetStates) + 8,
+      true);
   const pp::Config sparse = sparse_hub_initial(hub_ring, 97);
   CountSimulator fresh_hub(hub_ring, sparse, 77);
   CountSimulator reused_hub(hub_ring, sparse_hub_initial(hub_ring, 61), 5);
@@ -1020,8 +908,7 @@ TEST(CountSimulator, ResetMatchesFreshConstruction) {
 }
 
 TEST(CountSimulator, MetricsObserveTheIncrementalPath) {
-  // The incremental machinery is observable: every firing in null-skip
-  // mode selects through one weight descent, and each fired transition
+  // The incremental machinery is observable: each fired transition
   // updates at least the slots it touched.
   const auto lowered =
       compile::lower_program(czerner::build_construction(1).program);
@@ -1029,7 +916,6 @@ TEST(CountSimulator, MetricsObserveTheIncrementalPath) {
   CountSimulator sim(conv.protocol,
                      conv.initial_config(conv.num_pointers + 50), 13);
   for (int step = 0; step < 5'000; ++step) sim.step();
-  EXPECT_EQ(sim.metrics().tree_descents, sim.metrics().firings);
   EXPECT_GT(sim.metrics().weight_updates, sim.metrics().firings);
 }
 
@@ -1068,7 +954,6 @@ TEST(RunMetrics, MergeSumsEveryFieldIncludingWallTime) {
   a.skipped_meetings = 5;
   a.consensus_flips = 2;
   a.weight_updates = 11;
-  a.tree_descents = 13;
   a.wall_seconds = 0.25;
   RunMetrics b;
   b.meetings = 100;
@@ -1077,7 +962,6 @@ TEST(RunMetrics, MergeSumsEveryFieldIncludingWallTime) {
   b.skipped_meetings = 50;
   b.consensus_flips = 20;
   b.weight_updates = 110;
-  b.tree_descents = 130;
   b.wall_seconds = 0.5;
 
   a.merge(b);
@@ -1087,7 +971,6 @@ TEST(RunMetrics, MergeSumsEveryFieldIncludingWallTime) {
   EXPECT_EQ(a.skipped_meetings, 55u);
   EXPECT_EQ(a.consensus_flips, 22u);
   EXPECT_EQ(a.weight_updates, 121u);
-  EXPECT_EQ(a.tree_descents, 143u);
   EXPECT_DOUBLE_EQ(a.wall_seconds, 0.75);
 
   // Merging a default-constructed record is the identity.
@@ -1127,11 +1010,10 @@ TEST(RunMetrics, ToStringRendersEveryField) {
   m.skipped_meetings = 4;
   m.consensus_flips = 5;
   m.weight_updates = 6;
-  m.tree_descents = 7;
   m.wall_seconds = 1.5;
   EXPECT_EQ(m.to_string(),
             "meetings=1 firings=2 null_skip_batches=3 skipped=4 flips=5 "
-            "weight_updates=6 tree_descents=7 wall=1.500s");
+            "weight_updates=6 wall=1.500s");
 }
 
 TEST(RunMetrics, EffectiveRateGuardsDegenerateWallTimes) {

@@ -329,7 +329,7 @@ TEST_F(MajorityFixture, EnsembleFallsBackToPerAgentAndStaysDeterministic) {
   // The count engine's signature counters stay zero: the executor routed
   // every trial through the per-agent simulator.
   EXPECT_EQ(one.totals.null_skip_batches, 0u);
-  EXPECT_EQ(one.totals.tree_descents, 0u);
+  EXPECT_EQ(one.totals.skipped_meetings, 0u);
   EXPECT_GT(one.totals.meetings, 0u);
   EXPECT_EQ(one.trials, four.trials);
   EXPECT_EQ(one.stabilised, four.stabilised);

@@ -384,7 +384,6 @@ TEST(Proto, EnsembleRecordsRoundTripThroughTrialResults) {
   trial.metrics.skipped_meetings = 4;
   trial.metrics.consensus_flips = 5;
   trial.metrics.weight_updates = 6;
-  trial.metrics.tree_descents = 7;
 
   BatchResult result;
   result.first = 3;
@@ -399,7 +398,7 @@ TEST(Proto, EnsembleRecordsRoundTripThroughTrialResults) {
   EXPECT_EQ(back.sim.interactions, trial.sim.interactions);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(back.sim.parallel_time),
             std::bit_cast<std::uint64_t>(trial.sim.parallel_time));
-  EXPECT_EQ(back.metrics.tree_descents, trial.metrics.tree_descents);
+  EXPECT_EQ(back.metrics.weight_updates, trial.metrics.weight_updates);
 }
 
 TEST(Proto, QueryRoundTripsAndDefaults) {

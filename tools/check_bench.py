@@ -40,9 +40,9 @@ def require(path, condition, message):
 
 
 def check_engine(path, doc):
-    """bench_engine_v == 5: per-(mode, harness, m) rows."""
-    require(path, doc.get("bench_engine_v") == 5,
-            f"bench_engine_v != 5 (got {doc.get('bench_engine_v')})")
+    """bench_engine_v == 6: per-(mode, harness, m) rows."""
+    require(path, doc.get("bench_engine_v") == 6,
+            f"bench_engine_v != 6 (got {doc.get('bench_engine_v')})")
     rows = doc.get("rows")
     require(path, isinstance(rows, list) and rows, "rows missing or empty")
     for i, row in enumerate(rows):
@@ -57,9 +57,9 @@ def check_engine(path, doc):
                 f"rows[{i}] nonpositive effective_meetings_per_sec")
         require(path, row["harness"] in ("step", "fleet"),
                 f"rows[{i}] bad harness {row['harness']!r}")
-    # All three engine modes and the large population point.
+    # Both engines and the large population point.
     modes = {row["mode"] for row in rows}
-    for mode in ("per-agent", "count-based", "count+null-skip"):
+    for mode in ("per-agent", "count+null-skip"):
         require(path, mode in modes, f"missing mode {mode}")
     require(path, any(row["m"] == 100014 for row in rows),
             "missing m=100014 row")
